@@ -19,10 +19,10 @@ import numpy as np
 from . import mixture as mx
 from .core import (
     InstanceFormatError,
+    instance_text,
     load_instance,
     random_instance,
     random_prior,
-    save_instance,
     uniform_prior,
 )
 from .optimal import opt_avg, opt_min_cost, opt_worst
@@ -223,22 +223,9 @@ def cmd_counterexample(opts) -> int:
 
 
 def _report_row(report) -> str:
-    p = report.params
-    cells = [
-        report.bound,
-        _fmt(p.get("trial")),
-        _fmt(p.get("radius")),
-        _fmt(p.get("alpha")),
-        _fmt(p.get("L")),
-        _fmt(p.get("M")),
-        _fmt(p.get("K")),
-        _fmt(p.get("num_components")),
-        _fmt(p.get("l1")),
-        _fmt(report.lhs),
-        _fmt(report.rhs),
-        _fmt(report.slack),
-        _fmt(report.holds),
-    ]
+    # VERIFY_COLUMNS: the bound, eight params, then the report's own fields
+    cells = [report.bound] + [_fmt(report.params.get(k)) for k in VERIFY_COLUMNS[1:9]]
+    cells += [_fmt(v) for v in (report.lhs, report.rhs, report.slack, report.holds)]
     return ",".join(cells)
 
 
@@ -383,18 +370,7 @@ def cmd_gen_instance(opts) -> int:
         prior = uniform_prior(inst) if opts.uniform else random_prior(inst, rng)
     except ValueError as exc:
         return _fail(str(exc))
-    if opts.out is None or opts.out == "-":
-        lines = ["examples," + ",".join(inst.examples), "labels," + ",".join(inst.labels)]
-        for h, prob in zip(inst.hypotheses, prior.probs):
-            lines.append(f"h,{h.id},{float(prob)!r}," + ",".join(h.labels))
-        sys.stdout.write("\n".join(lines) + "\n")
-        return 0
-    path = Path(opts.out)
-    env_dir = os.environ.get("POOLAL_OUTPUT_DIR")
-    if env_dir and not path.is_absolute():
-        path = Path(env_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_instance(path, inst, prior)
+    _write_output(opts.out, instance_text(inst, prior))
     return 0
 
 

@@ -11,6 +11,7 @@ values are safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -239,8 +240,11 @@ class Prior:
             raise ValueError("a prior is a non-empty 1-d probability vector")
         if np.any(arr < 0):
             raise ValueError("prior entries must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > NORM_TOL:
-            raise ValueError(f"prior must sum to 1 within {NORM_TOL}, got {arr.sum()!r}")
+        # written so that a NaN or infinite sum fails the test too
+        if not abs(float(arr.sum()) - 1.0) <= NORM_TOL:
+            raise ValueError(
+                f"prior must be finite and sum to 1 within {NORM_TOL}, got {arr.sum()!r}"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -389,13 +393,13 @@ class ModelEnsemble:
         t = np.array(probs, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("need at least one member")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > NORM_TOL:
-            raise ValueError("member weights must be nonnegative and sum to 1")
+        if np.any(w < 0) or not abs(float(w.sum()) - 1.0) <= NORM_TOL:
+            raise ValueError("member weights must be finite, nonnegative and sum to 1")
         if t.shape != (w.size, instance.n_examples, instance.n_labels):
             raise ValueError(
                 f"predictor table must have shape {(w.size, instance.n_examples, instance.n_labels)}"
             )
-        if np.any(t < 0) or np.any(t > 1):
+        if not np.all((t >= 0) & (t <= 1)):
             raise ValueError("predictor probabilities must lie in [0, 1]")
         if np.any(np.abs(t.sum(axis=2) - 1.0) > NORM_TOL):
             raise ValueError("each predictor's label distribution must sum to 1")
@@ -488,8 +492,8 @@ def perturb(p: Prior, eps: float, seed: int) -> Prior:
     raise RuntimeError(f"could not sample a perturbation within radius {eps}")
 
 
-def save_instance(path, inst: Instance, prior: Prior) -> None:
-    """Write the comma-separated instance file (pool, labels, weighted labelings)."""
+def instance_text(inst: Instance, prior: Prior) -> str:
+    """The comma-separated instance file (pool, labels, weighted labelings)."""
     _check_prior(prior, inst)
     for token in (*inst.examples, *inst.labels, *(h.id for h in inst.hypotheses)):
         if "," in token:
@@ -500,8 +504,14 @@ def save_instance(path, inst: Instance, prior: Prior) -> None:
     ]
     for h, prob in zip(inst.hypotheses, prior.probs):
         lines.append(f"h,{h.id},{float(prob)!r}," + ",".join(h.labels))
+    return "\n".join(lines) + "\n"
+
+
+def save_instance(path, inst: Instance, prior: Prior) -> None:
+    """Write :func:`instance_text` to ``path``."""
+    text = instance_text(inst, prior)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def load_instance(path) -> tuple[Instance, Prior]:
@@ -539,6 +549,8 @@ def load_instance(path) -> tuple[Instance, Prior]:
             prob = float(fields[2])
         except ValueError:
             raise InstanceFormatError(f"bad probability {fields[2]!r}", line_no) from None
+        if not math.isfinite(prob):
+            raise InstanceFormatError(f"non-finite probability {fields[2]!r}", line_no)
         if prob < 0:
             raise InstanceFormatError(f"negative probability {prob!r}", line_no)
         probs.append(prob)

@@ -58,8 +58,8 @@ class MixtureState:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size != len(self.posteriors) or w.size == 0:
             raise ValueError("need one weight per component")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > NORM_TOL:
-            raise ValueError("component weights must be nonnegative and sum to 1")
+        if np.any(w < 0) or not abs(float(w.sum()) - 1.0) <= NORM_TOL:
+            raise ValueError("component weights must be finite, nonnegative and sum to 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -1,4 +1,8 @@
-"""Exact optimal policies by exhaustive search on small instances.
+"""Policy values and exact optimal policies on small instances.
+
+The policy values f_avg, f_worst and c_avg walk the tree once: all
+hypotheses at a leaf share one agreement set, so the utility is
+evaluated once per leaf and a value costs O(H * depth).
 
 Three oracles: maximum expected utility, maximum worst-case utility,
 and minimum expected identification cost.  They exist to verify
@@ -14,9 +18,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Instance, Prior, _check_prior
-from .policies import PolicyNode, PolicyTree, policy_to_text, run_policy
-from .utilities import Utility, eval_utility
+from .policies import PolicyNode, PolicyTree, policy_to_text
+from .utilities import Utility, set_utility
 
 EXAMPLE_CAP = 6
 HYPOTHESIS_CAP = 16
@@ -43,18 +49,50 @@ class OptResult:
         return f"value={self.value!r}\n" + policy_to_text(self.policy)
 
 
+def _leaves(tree: PolicyTree):
+    """Yield (V, depth) for every leaf that some hypothesis reaches.
+
+    V, the ascending index array of the hypotheses ending there, is
+    carried down and split on each queried label, so a node costs
+    O(|V|).  Hypotheses share a leaf exactly when they agree on the
+    examples queried on its path: V is each member's agreement set.
+    """
+    inst = tree.instance
+    stack = [(tree.root, np.arange(inst.n_hypotheses), 0)]
+    while stack:
+        node, V, depth = stack.pop()
+        if node is None:
+            yield V, depth
+            continue
+        try:
+            col = inst.label_matrix[V, inst.example_index[node.example]]
+        except KeyError:
+            raise ValueError(f"unknown example {node.example!r}") from None
+        for yi in range(inst.n_labels):
+            Vy = V[col == yi]
+            if Vy.size:
+                stack.append((node.children[yi], Vy, depth + 1))
+
+
+def _leaf_utilities(p: Prior, u: Utility, tree: PolicyTree) -> list[float]:
+    """Each hypothesis's utility at the end of its path: one evaluation per leaf."""
+    _check_prior(p, tree.instance)
+    vals = np.empty(tree.instance.n_hypotheses)
+    for V, _ in _leaves(tree):
+        vals[V] = set_utility(u, p, tree.instance, V)
+    return vals.tolist()
+
+
 def f_avg(p: Prior, u: Utility, tree: PolicyTree) -> float:
     """Expected utility of a policy: E_{h~p}[ f_p(queried-on-h, h) ].
 
     The utility's internal prior is the same ``p`` the expectation is
-    taken under.
+    taken under.  One tree walk, one utility evaluation per leaf,
+    O(H * depth); the sum runs in hypothesis order.
     """
-    inst = tree.instance
-    _check_prior(p, inst)
     total = 0.0
-    for h, prob in zip(inst.hypotheses, p.probs):
-        queried, _, _ = run_policy(tree, h)
-        total += float(prob) * eval_utility(u, p, inst, queried, h)
+    for prob, v in zip(p.probs.tolist(), _leaf_utilities(p, u, tree)):
+        total += prob * v
     return total
 
 
@@ -62,13 +100,10 @@ def f_worst(p: Prior, u: Utility, tree: PolicyTree) -> float:
     """Worst-case utility of a policy: the min over every hypothesis.
 
     The min ranges over all hypotheses in the instance, including
-    zero-probability ones.
+    zero-probability ones.  Like :func:`f_avg`, one tree walk with one
+    utility evaluation per leaf, O(H * depth).
     """
-    inst = tree.instance
-    _check_prior(p, inst)
-    return min(
-        eval_utility(u, p, inst, run_policy(tree, h)[0], h) for h in inst.hypotheses
-    )
+    return min(_leaf_utilities(p, u, tree))
 
 
 def c_avg(p: Prior, tree: PolicyTree) -> float:
@@ -76,24 +111,30 @@ def c_avg(p: Prior, tree: PolicyTree) -> float:
 
     Every positive-mass hypothesis must end its path as the unique
     consistent member of the support, else the policy does not identify
-    and an :class:`IdentificationError` names an unresolved pair.
+    and an :class:`IdentificationError` names an unresolved pair: the
+    smallest support index that shares its leaf with another, and the
+    next support index at that leaf.  One tree walk, O(H * depth); the
+    cost is summed in support order.
     """
     inst = tree.instance
     _check_prior(p, inst)
-    support = set(int(i) for i in p.support)
+    in_support = p.probs > 0
+    depth = np.empty(inst.n_hypotheses, dtype=int)
+    pair = None
+    for V, d in _leaves(tree):
+        depth[V] = d
+        shared = V[in_support[V]]
+        if shared.size > 1 and (pair is None or shared[0] < pair[0]):
+            pair = (int(shared[0]), int(shared[1]))
+    if pair is not None:
+        raise IdentificationError(
+            f"policy does not separate {inst.hypotheses[pair[0]].id!r} from "
+            f"{inst.hypotheses[pair[1]].id!r}"
+        )
+    costs = depth.tolist()
     total = 0.0
-    for hi in sorted(support):
-        h = inst.hypotheses[hi]
-        queried, labels, cost = run_policy(tree, h)
-        row = inst.label_matrix[hi]
-        q_idx = [inst.example_index[x] for x in queried]
-        for other in sorted(support - {hi}):
-            if all(inst.label_matrix[other, xi] == row[xi] for xi in q_idx):
-                raise IdentificationError(
-                    f"policy does not separate {h.id!r} from "
-                    f"{inst.hypotheses[other].id!r}"
-                )
-        total += float(p.probs[hi]) * cost
+    for hi in p.support.tolist():
+        total += float(p.probs[hi]) * costs[hi]
     return total
 
 
@@ -106,10 +147,6 @@ def _check_caps(inst: Instance, example_cap: int, hypothesis_cap: int) -> None:
         raise SizeCapError(
             f"{inst.n_hypotheses} hypotheses exceeds the exhaustive-search cap {hypothesis_cap}"
         )
-
-
-def _queried_names(inst: Instance, avail: frozenset[int]) -> tuple[str, ...]:
-    return tuple(inst.examples[i] for i in range(inst.n_examples) if i not in avail)
 
 
 def _opt_coverage(
@@ -128,17 +165,28 @@ def _opt_coverage(
         raise SizeCapError(f"budget {budget} exceeds the exhaustive-search cap {budget_cap}")
     if not 1 <= budget <= inst.n_examples:
         raise ValueError(f"budget must lie in [1, {inst.n_examples}], got {budget}")
+    return _search_rounds(p, u, inst, budget, 1, worst_case)
 
+
+def _search_rounds(
+    p: Prior, u: Utility, inst: Instance, n_rounds: int, batch_size: int, worst_case: bool
+) -> OptResult:
+    """Best policy that queries ``batch_size`` examples per round, ``n_rounds`` rounds.
+
+    Within a round the batch is fixed; the policy adapts between rounds,
+    so ``batch_size == 1`` is the fully adaptive search.  A branch's
+    value is the sum (or, with ``worst_case``, the min) of its children.
+    """
     memo: dict[tuple[frozenset[int], frozenset[int]], tuple[float, PolicyNode | None]] = {}
     explored = 0
 
-    def leaf_value(V: frozenset[int], avail: frozenset[int]) -> float:
-        S = _queried_names(inst, avail)
+    def leaf_value(V: frozenset[int]) -> float:
+        # V is every member's agreement set on the queried examples
         members = sorted(V)
-        vals = [eval_utility(u, p, inst, S, inst.hypotheses[hi]) for hi in members]
+        v = set_utility(u, p, inst, np.array(members))
         if worst_case:
-            return min(vals)
-        return sum(float(p.probs[hi]) * v for hi, v in zip(members, vals))
+            return v
+        return sum(float(p.probs[hi]) * v for hi in members)
 
     def search(V: frozenset[int], avail: frozenset[int]) -> tuple[float, PolicyNode | None]:
         key = (V, avail)
@@ -146,27 +194,33 @@ def _opt_coverage(
             return memo[key]
         nonlocal explored
         explored += 1
-        depth_used = inst.n_examples - len(avail)
-        if depth_used == budget or not avail:
-            result = (leaf_value(V, avail), None)
-            memo[key] = result
-            return result
+        if (inst.n_examples - len(avail)) // batch_size == n_rounds:
+            memo[key] = (leaf_value(V), None)
+            return memo[key]
         best_val, best_node = -math.inf, None
-        for xi in sorted(avail):
-            col = inst.label_matrix[:, xi]
-            agg = math.inf if worst_case else 0.0
-            children: list[PolicyNode | None] = []
-            for yi in range(inst.n_labels):
-                Vy = frozenset(hi for hi in V if col[hi] == yi)
-                if not Vy:
-                    children.append(None)
-                    continue
-                val, node = search(Vy, avail - {xi})
-                children.append(node)
-                agg = min(agg, val) if worst_case else agg + val
-            if agg > best_val:
-                best_val = agg
-                best_node = PolicyNode(inst.examples[xi], tuple(children))
+        for batch in itertools.combinations(sorted(avail), batch_size):
+            rest = avail - set(batch)
+
+            def expand(V2: frozenset[int], pos: int) -> tuple[float, PolicyNode | None]:
+                if pos == len(batch):
+                    return search(V2, rest)
+                xi = batch[pos]
+                col = inst.label_matrix[:, xi]
+                agg = math.inf if worst_case else 0.0
+                children: list[PolicyNode | None] = []
+                for yi in range(inst.n_labels):
+                    Vy = frozenset(hi for hi in V2 if col[hi] == yi)
+                    if not Vy:
+                        children.append(None)
+                        continue
+                    val, node = expand(Vy, pos + 1)
+                    children.append(node)
+                    agg = min(agg, val) if worst_case else agg + val
+                return agg, PolicyNode(inst.examples[xi], tuple(children))
+
+            val, node = expand(V, 0)
+            if val > best_val:
+                best_val, best_node = val, node
         memo[key] = (best_val, best_node)
         return memo[key]
 
@@ -280,18 +334,14 @@ def _all_coverage_nodes(inst: Instance, avail: tuple[int, ...], depth_left: int)
 
 def opt_avg_naive(p: Prior, u: Utility, inst: Instance, budget: int) -> float:
     """Enumerate every depth-``budget`` policy and take the best expected utility."""
-    best = -math.inf
-    for root in _all_coverage_nodes(inst, tuple(range(inst.n_examples)), budget):
-        best = max(best, f_avg(p, u, PolicyTree(inst, root)))
-    return best
+    roots = _all_coverage_nodes(inst, tuple(range(inst.n_examples)), budget)
+    return max(f_avg(p, u, PolicyTree(inst, root)) for root in roots)
 
 
 def opt_worst_naive(p: Prior, u: Utility, inst: Instance, budget: int) -> float:
     """Enumerate every depth-``budget`` policy and take the best worst-case utility."""
-    best = -math.inf
-    for root in _all_coverage_nodes(inst, tuple(range(inst.n_examples)), budget):
-        best = max(best, f_worst(p, u, PolicyTree(inst, root)))
-    return best
+    roots = _all_coverage_nodes(inst, tuple(range(inst.n_examples)), budget)
+    return max(f_worst(p, u, PolicyTree(inst, root)) for root in roots)
 
 
 def _all_identification_nodes(inst: Instance, V: frozenset[int], avail: tuple[int, ...]):
@@ -333,11 +383,6 @@ def opt_min_cost_naive(p: Prior, inst: Instance) -> float:
     return best
 
 
-# ---------------------------------------------------------------------------
-# Batch-restricted oracle: per round the policy commits to a fixed example
-# set and only adapts between rounds.
-
-
 def opt_avg_batch(
     p: Prior,
     u: Utility,
@@ -354,55 +399,4 @@ def opt_avg_batch(
         raise ValueError("need at least one round and a positive batch size")
     if n_rounds * batch_size > inst.n_examples:
         raise SizeCapError("batch rounds exceed the pool size")
-
-    memo: dict[tuple[frozenset[int], frozenset[int]], tuple[float, PolicyNode | None]] = {}
-    explored = 0
-
-    def leaf_value(V: frozenset[int], avail: frozenset[int]) -> float:
-        S = _queried_names(inst, avail)
-        return sum(
-            float(p.probs[hi]) * eval_utility(u, p, inst, S, inst.hypotheses[hi])
-            for hi in sorted(V)
-        )
-
-    def search(V: frozenset[int], avail: frozenset[int]) -> tuple[float, PolicyNode | None]:
-        key = (V, avail)
-        if key in memo:
-            return memo[key]
-        nonlocal explored
-        explored += 1
-        rounds_done = (inst.n_examples - len(avail)) // batch_size
-        if rounds_done == n_rounds:
-            memo[key] = (leaf_value(V, avail), None)
-            return memo[key]
-        best_val, best_node = -math.inf, None
-        for batch in itertools.combinations(sorted(avail), batch_size):
-            rest = avail - set(batch)
-
-            def expand(V2: frozenset[int], pos: int) -> tuple[float, PolicyNode | None]:
-                if pos == len(batch):
-                    return search(V2, rest)
-                xi = batch[pos]
-                col = inst.label_matrix[:, xi]
-                total = 0.0
-                children: list[PolicyNode | None] = []
-                for yi in range(inst.n_labels):
-                    Vy = frozenset(hi for hi in V2 if col[hi] == yi)
-                    if not Vy:
-                        children.append(None)
-                        continue
-                    val, node = expand(Vy, pos + 1)
-                    total += val
-                    children.append(node)
-                return total, PolicyNode(inst.examples[xi], tuple(children))
-
-            val, node = expand(V, 0)
-            if val > best_val:
-                best_val, best_node = val, node
-        memo[key] = (best_val, best_node)
-        return memo[key]
-
-    value, root = search(
-        frozenset(range(inst.n_hypotheses)), frozenset(range(inst.n_examples))
-    )
-    return OptResult(value, PolicyTree(inst, root), explored)
+    return _search_rounds(p, u, inst, n_rounds, batch_size, False)

@@ -100,6 +100,8 @@ def select_from_marginals(
         s = score(xi)
         if (maximize and s > best) or (not maximize and s < best):
             best, best_xi = s, xi
+    if best_xi is None:
+        raise ValueError(f"criterion {criterion!r} scored no candidate: marginals are not finite")
     return best_xi
 
 

@@ -38,6 +38,8 @@ class LossMatrix:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("loss matrix must be square")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("losses must be finite")
         if np.any(arr < 0):
             raise ValueError("losses must be nonnegative")
         if np.any(np.abs(arr - arr.T) > 1e-9):
@@ -45,6 +47,8 @@ class LossMatrix:
         if np.any(np.diag(arr) != 0):
             raise ValueError("self-loss must be exactly 0")
         bound = float(self.bound) if self.bound else float(arr.max(initial=0.0))
+        if not np.isfinite(bound):
+            raise ValueError(f"loss bound must be finite, got {bound!r}")
         if np.any(arr > bound):
             raise ValueError(f"entries exceed the stated bound {bound}")
         arr.setflags(write=False)
@@ -135,9 +139,15 @@ def eval_utility(
     """Evaluate a utility at (queried set ``S``, true labeling ``h``) under ``p``."""
     _check_prior(p, inst)
     h_idx = inst.hypothesis_index(h)
-    S_idx = _resolve_set(inst, S)
-    agree = _agreement_mask(inst, S_idx, h_idx)
+    return set_utility(u, p, inst, _agreement_mask(inst, _resolve_set(inst, S), h_idx))
 
+
+def set_utility(u: Utility, p: Prior, inst: Instance, agree: np.ndarray) -> float:
+    """Utility under ``p`` at any (S, h) whose agreement set is ``agree``.
+
+    ``agree`` selects the hypotheses matching ``h`` on ``S``, as a boolean
+    mask or an ascending index array; both give the same double.
+    """
     if isinstance(u, VersionSpaceReduction):
         return 1.0 - float(p.probs[agree].sum())
 
@@ -147,12 +157,14 @@ def eval_utility(
             raise ValueError("loss matrix does not match the instance")
         q = p.probs
         total = float(q @ L @ q)
-        q_in = np.where(agree, q, 0.0)
+        q_in = np.zeros_like(q)
+        q_in[agree] = q[agree]
         inside = float(q_in @ L @ q_in)
         return total - inside
 
     if isinstance(u, PruningCount):
-        return float(np.count_nonzero((p.probs > u.mu) & ~agree))
+        above = p.probs > u.mu
+        return float(np.count_nonzero(above) - np.count_nonzero(above[agree]))
 
     raise TypeError(f"unknown utility {u!r}")
 

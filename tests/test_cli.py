@@ -62,6 +62,14 @@ class TestRun:
         assert code == 2
         assert "line 3" in err
 
+    def test_non_finite_probability_reports_line(self, capsys, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("examples,x0\nlabels,0,1\nh,a,nan,0\nh,b,1.0,1\n")
+        code, out, err = run_cli(capsys, "run", "--instance", str(bad), "--budget", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 3")
+
 
 class TestOptimal:
     def test_min_cost_square(self, capsys, square_file):

@@ -44,6 +44,12 @@ def test_prior_validation():
         pl.Prior([1.5, -0.5])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_prior_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        pl.Prior([bad, 1.0])
+
+
 class TestLabelSeqProb:
     def test_uniform_single_query(self, square):
         p = pl.uniform_prior(square)
@@ -177,6 +183,14 @@ class TestInducePrior:
         with pytest.raises(ValueError, match="sum to 1"):
             pl.ModelEnsemble(square, [1.0], np.full((1, 2, 2), 0.4))
 
+    def test_ensemble_rejects_non_finite(self, square):
+        table = np.full((2, 2, 2), 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            pl.ModelEnsemble(square, [float("nan"), 1.0], table)
+        table[0, 0, 0] = float("nan")
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            pl.ModelEnsemble(square, [0.5, 0.5], table)
+
     def test_from_predictors(self, square):
         def predictor(x, y):
             p_one = 0.9 if x == "x0" else 0.2
@@ -229,6 +243,13 @@ class TestInstanceFile:
         path = tmp_path / "bad.csv"
         path.write_text("examples,x0\nlabels,0,1\nh,a,oops,0\n")
         with pytest.raises(InstanceFormatError, match="line 3"):
+            pl.load_instance(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_probability_reports_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"examples,x0\nlabels,0,1\nh,a,{bad},0\nh,b,1.0,1\n")
+        with pytest.raises(InstanceFormatError, match="line 3: non-finite"):
             pl.load_instance(path)
 
     def test_field_count_reports_line(self, tmp_path):

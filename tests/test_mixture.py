@@ -257,3 +257,10 @@ class TestGridTask:
         a = sample_truth(inst, comps, np.random.default_rng(5))
         b = sample_truth(inst, comps, np.random.default_rng(5))
         assert a.id == b.id
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_state_rejects_non_finite_weights(square, bad):
+    comps = [pl.uniform_prior(square), pl.Prior([0.4, 0.3, 0.2, 0.1])]
+    with pytest.raises(ValueError, match="finite"):
+        initial_state(square, comps, [bad, 1.0])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poolal as pl
 from poolal.optimal import (
@@ -18,8 +20,22 @@ from poolal.optimal import (
     opt_worst,
     opt_worst_naive,
 )
-from poolal.policies import PolicyNode, PolicyTree, build_batch_policy, build_policy
-from poolal.utilities import PruningCount, VersionSpaceReduction
+from poolal.policies import (
+    CRITERIA,
+    PolicyNode,
+    PolicyTree,
+    build_batch_policy,
+    build_policy,
+    run_policy,
+)
+from poolal.utilities import (
+    GeneralizedReduction,
+    PruningCount,
+    VersionSpaceReduction,
+    eval_utility,
+    hamming_loss,
+    zero_one_loss,
+)
 
 
 def single_query_tree(inst, example):
@@ -241,3 +257,180 @@ def test_opt_result_serialization(square):
     text = r.to_text()
     assert text.splitlines()[0] == "value=2.0"
     assert text.splitlines()[1] == "0,x0,"
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the tree-walk evaluators against a per-hypothesis
+# replay of every path, compared with ==.
+
+
+def ref_f_avg(p, u, tree):
+    inst = tree.instance
+    total = 0.0
+    for h, prob in zip(inst.hypotheses, p.probs):
+        queried, _, _ = run_policy(tree, h)
+        total += float(prob) * eval_utility(u, p, inst, queried, h)
+    return total
+
+
+def ref_f_worst(p, u, tree):
+    inst = tree.instance
+    return min(eval_utility(u, p, inst, run_policy(tree, h)[0], h) for h in inst.hypotheses)
+
+
+def ref_c_avg(p, tree):
+    inst = tree.instance
+    support = set(int(i) for i in p.support)
+    total = 0.0
+    for hi in sorted(support):
+        h = inst.hypotheses[hi]
+        queried, _, cost = run_policy(tree, h)
+        q_idx = [inst.example_index[x] for x in queried]
+        for other in sorted(support - {hi}):
+            if all(inst.label_matrix[other, xi] == inst.label_matrix[hi, xi] for xi in q_idx):
+                raise IdentificationError(
+                    f"policy does not separate {h.id!r} from {inst.hypotheses[other].id!r}"
+                )
+        total += float(p.probs[hi]) * cost
+    return total
+
+
+def ref_oracle_value(p, u, tree, worst_case):
+    """Re-add an oracle's tree the way its search does, each leaf member by member."""
+    inst = tree.instance
+
+    def value(node, V, queried):
+        if node is None:
+            vals = [eval_utility(u, p, inst, queried, inst.hypotheses[hi]) for hi in V]
+            if worst_case:
+                return min(vals)
+            return sum(float(p.probs[hi]) * v for hi, v in zip(V, vals))
+        xi = inst.example_index[node.example]
+        acc = math.inf if worst_case else 0.0
+        for yi, child in enumerate(node.children):
+            Vy = [hi for hi in V if inst.label_matrix[hi, xi] == yi]
+            if Vy:
+                val = value(child, Vy, queried + (node.example,))
+                acc = min(acc, val) if worst_case else acc + val
+        return acc
+
+    return value(tree.root, list(range(inst.n_hypotheses)), ())
+
+
+def random_tree(inst, rng, max_depth=4):
+    """Arbitrary tree: any example at any node (repeats allowed), random early leaves."""
+
+    def grow(depth):
+        if depth == max_depth or rng.random() < 0.3:
+            return None
+        x = inst.examples[int(rng.integers(inst.n_examples))]
+        return PolicyNode(x, tuple(grow(depth + 1) for _ in range(inst.n_labels)))
+
+    return PolicyTree(inst, grow(0))
+
+
+def sparse_prior(inst, rng):
+    """Random prior with a random set of zero-mass hypotheses."""
+    w = rng.dirichlet(np.ones(inst.n_hypotheses))
+    w[rng.random(inst.n_hypotheses) < 0.3] = 0.0
+    if not w.any():
+        w[int(rng.integers(inst.n_hypotheses))] = 1.0
+    return pl.Prior(w / w.sum())
+
+
+def all_utilities(inst, p):
+    return (
+        VersionSpaceReduction(),
+        GeneralizedReduction(zero_one_loss(inst)),
+        GeneralizedReduction(hamming_loss(inst)),
+        PruningCount(0.0),
+        PruningCount(float(np.median(p.probs))),
+    )
+
+
+def all_trees(inst, p, rng):
+    b = min(3, inst.n_examples)
+    trees = [build_policy(c, p, inst, b) for c in CRITERIA]
+    trees.append(build_policy("gbs", p, inst, inst.n_examples, stop_when_identified=True))
+    if inst.n_examples >= 2:
+        trees.append(build_batch_policy(p, inst, 1, 2))
+    trees += [random_tree(inst, rng) for _ in range(3)]
+    trees.append(PolicyTree(inst, None))
+    return trees
+
+
+def assert_evaluators_match(inst, p, rng):
+    for tree in all_trees(inst, p, rng):
+        for u in all_utilities(inst, p):
+            assert f_avg(p, u, tree) == ref_f_avg(p, u, tree)
+            assert f_worst(p, u, tree) == ref_f_worst(p, u, tree)
+        try:
+            expected = ref_c_avg(p, tree)
+        except IdentificationError as exc:
+            with pytest.raises(IdentificationError) as got:
+                c_avg(p, tree)
+            assert str(got.value) == str(exc)
+        else:
+            assert c_avg(p, tree) == expected
+
+
+def random_case(rng):
+    n_labels = int(rng.integers(2, 4))
+    n_x = int(rng.integers(1, 5))
+    n_h = int(rng.integers(1, min(16, n_labels**n_x) + 1))
+    inst = pl.random_instance(n_x, n_h, n_labels, rng=rng)
+    prior = pl.random_prior(inst, rng) if rng.random() < 0.5 else sparse_prior(inst, rng)
+    return inst, prior
+
+
+class TestEvaluatorsMatchReplay:
+    def test_seeded_cases(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(15):
+            inst, p = random_case(rng)
+            assert_evaluators_match(inst, p, rng)
+
+    def test_fixtures(self, square, chain):
+        rng = np.random.default_rng(5)
+        for inst in (square, chain):
+            for p in (pl.uniform_prior(inst), pl.point_mass(inst, 1), sparse_prior(inst, rng)):
+                assert_evaluators_match(inst, p, rng)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_generated_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        inst, p = random_case(rng)
+        assert_evaluators_match(inst, p, rng)
+
+    def test_unresolved_pair_is_smallest_shared_leaf(self, square):
+        # h2 and h4 share a leaf, as do h1 and h3; the pair named starts at h1
+        tree = single_query_tree(square, "x0")
+        p = pl.Prior([0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(IdentificationError, match="'h1' from 'h3'"):
+            c_avg(p, tree)
+        p = pl.Prior([0.0, 0.5, 0.0, 0.5])
+        with pytest.raises(IdentificationError, match="'h2' from 'h4'"):
+            c_avg(p, tree)
+
+    def test_unknown_example_in_tree(self, square):
+        tree = single_query_tree(square, "zz")
+        with pytest.raises(ValueError, match="unknown example 'zz'"):
+            f_avg(pl.uniform_prior(square), VersionSpaceReduction(), tree)
+
+
+class TestOracleLeavesMatchReplay:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_oracle_values(self, seed):
+        rng = np.random.default_rng(seed)
+        inst, p = random_case(rng)
+        b = min(2, inst.n_examples)
+        for u in all_utilities(inst, p):
+            r = opt_avg(p, u, inst, b)
+            assert r.value == ref_oracle_value(p, u, r.policy, worst_case=False)
+            r = opt_worst(p, u, inst, b)
+            assert r.value == ref_oracle_value(p, u, r.policy, worst_case=True)
+            if inst.n_examples >= 2:
+                r = opt_avg_batch(p, u, inst, n_rounds=1, batch_size=2)
+                assert r.value == ref_oracle_value(p, u, r.policy, worst_case=False)

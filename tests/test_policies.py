@@ -13,6 +13,7 @@ from poolal.policies import (
     run_policy,
     select,
     select_batch_max_gibbs,
+    select_from_marginals,
 )
 
 
@@ -36,6 +37,11 @@ class TestSelect:
     def test_empty_available_rejected(self, square):
         with pytest.raises(ValueError, match="available"):
             select("max_gibbs", pl.uniform_prior(square), square, ())
+
+    def test_non_finite_marginals_rejected(self):
+        marginals = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="scored no candidate"):
+            select_from_marginals("max_gibbs", marginals, [0, 1])
 
     def test_unknown_criterion(self, square):
         with pytest.raises(ValueError, match="criterion"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poolal as pl
 from poolal.utilities import (
@@ -11,6 +13,7 @@ from poolal.utilities import (
     lipschitz_constant,
     lipschitz_probe,
     load_loss_matrix,
+    set_utility,
     threshold_straddle_pair,
     zero_one_loss,
 )
@@ -37,6 +40,13 @@ class TestLossMatrix:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="self-loss"):
             pl.LossMatrix(np.array([[0.1, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pl.LossMatrix(np.array([[0.0, bad], [bad, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            pl.LossMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), bound=bad)
 
     def test_file_roundtrip(self, tmp_path, square):
         path = tmp_path / "loss.csv"
@@ -219,3 +229,32 @@ class TestPointwiseStability:
             S = ("x1",) if rng.integers(2) else ("x0", "x1")
             diff = abs(eval_utility(u, p, square, S, h) - eval_utility(u, q, square, S, h))
             assert diff <= 2.0 * u.loss.bound * pl.l1_distance(p, q) + 1e-12
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_set_utility_mask_and_index_agree_with_mask_formulas(seed):
+    # the per-mask formulas set_utility replaced, written out: a mask and an
+    # ascending index array of the same set must give the identical double
+    rng = np.random.default_rng(seed)
+    inst = pl.random_instance(4, int(rng.integers(1, 17)), 2, rng=rng)
+    q = rng.dirichlet(np.ones(inst.n_hypotheses))
+    q[rng.random(inst.n_hypotheses) < 0.3] = 0.0
+    p = pl.Prior(q / q.sum() if q.any() else np.full(q.size, 1.0 / q.size))
+    agree = rng.random(inst.n_hypotheses) < 0.5
+    index = np.flatnonzero(agree)
+    loss = hamming_loss(inst)
+    mu = float(np.median(p.probs))
+    q = p.probs
+    q_in = np.where(agree, q, 0.0)
+    expected = [
+        (VersionSpaceReduction(), 1.0 - float(p.probs[agree].sum())),
+        (
+            GeneralizedReduction(loss),
+            float(q @ loss.values @ q) - float(q_in @ loss.values @ q_in),
+        ),
+        (PruningCount(mu), float(np.count_nonzero((p.probs > mu) & ~agree))),
+    ]
+    for u, value in expected:
+        assert set_utility(u, p, inst, agree) == value
+        assert set_utility(u, p, inst, index) == value
