@@ -25,15 +25,15 @@ from .core import (
     random_prior,
     uniform_prior,
 )
-from .optimal import opt_avg, opt_min_cost, opt_worst
+from .optimal import _leaves, opt_avg, opt_min_cost, opt_worst
 from .policies import build_policy, run_policy, select_from_marginals
 from .robustness import counterexample_instance, sweep_reports
 from .utilities import (
     GeneralizedReduction,
     PruningCount,
     VersionSpaceReduction,
-    eval_utility,
     hamming_loss,
+    set_utility,
     zero_one_loss,
 )
 
@@ -170,13 +170,15 @@ def cmd_run(opts) -> int:
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
-    lines = [RUN_SCHEMA, "hypothesis,queried,labels,utility,cost"]
-    for h in inst.hypotheses:
-        queried, labels, cost = run_policy(tree, h)
-        value = eval_utility(u, prior, inst, queried, h)
-        lines.append(
-            f"{h.id},{'|'.join(queried)},{'|'.join(labels)},{_fmt(value)},{cost}"
-        )
+    # hypotheses sharing a leaf share its path and its agreement set V
+    rows = [""] * inst.n_hypotheses
+    for V, _ in _leaves(tree):
+        queried, labels, cost = run_policy(tree, inst.hypotheses[V[0]])
+        value = _fmt(set_utility(u, prior, inst, V))
+        tail = f"{'|'.join(queried)},{'|'.join(labels)},{value},{cost}"
+        for hi in V.tolist():
+            rows[hi] = f"{inst.hypotheses[hi].id},{tail}"
+    lines = [RUN_SCHEMA, "hypothesis,queried,labels,utility,cost", *rows]
     _write_output(opts.out, "\n".join(lines) + "\n")
     return 0
 

@@ -443,7 +443,9 @@ def induce_prior(ens: ModelEnsemble, inst: Instance) -> Prior:
     Each hypothesis gets the ensemble-averaged product probability of
     its labels.  On a full labeling space the masses already sum to 1;
     on a restricted hypothesis list the result is renormalized, i.e.
-    conditioned on the truth lying in the list.
+    conditioned on the truth lying in the list.  Should a product of
+    strictly positive factors underflow to 0 (long pools), the masses are
+    redone in log space; an exact-zero factor still gives zero mass.
     """
     if ens.instance is not inst and (
         ens.instance.examples != inst.examples or ens.instance.labels != inst.labels
@@ -451,9 +453,20 @@ def induce_prior(ens: ModelEnsemble, inst: Instance) -> Prior:
         raise ValueError("ensemble is bound to a different pool")
     cols = np.arange(inst.n_examples)
     mass = np.zeros(inst.n_hypotheses)
+    underflow = False
     for m in range(ens.n_members):
         per_example = ens.probs[m][cols[None, :], inst.label_matrix]
-        mass += ens.weights[m] * per_example.prod(axis=1)
+        term = ens.weights[m] * per_example.prod(axis=1)
+        mass += term
+        # a product of strictly positive factors that underflowed to 0
+        if ens.weights[m] > 0.0 and (per_example[term == 0.0] > 0.0).all(axis=1).any():
+            underflow = True
+        del term  # peak memory stays that of the plain product
+    if underflow:  # redo in log space, log-sum-exp over members
+        factors = ens.probs[:, cols[None, :], inst.label_matrix]
+        with np.errstate(divide="ignore"):
+            logs = np.log(ens.weights)[:, None] + np.log(factors).sum(axis=2)
+        mass = np.exp(logs - logs.max()).sum(axis=0)
     total = float(mass.sum())
     if total <= 0.0:
         raise ValueError("ensemble assigns zero mass to every hypothesis")

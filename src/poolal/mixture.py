@@ -102,6 +102,17 @@ def _component_marginals(comp: Component, inst: Instance) -> np.ndarray:
     return np.tensordot(comp.weights, comp.probs, axes=1)
 
 
+def _component_likelihood(comp: Component, xi: int, yi: int, mask: np.ndarray) -> float:
+    """One component's probability that example ``xi`` carries label ``yi``.
+
+    ``mask`` flags the hypotheses labeling ``xi`` with ``yi``; a prior
+    sums its mass there, an ensemble averages its members' predictions.
+    """
+    if isinstance(comp, Prior):
+        return float(comp.probs[mask].sum())
+    return float(comp.weights @ comp.probs[:, xi, yi])
+
+
 def _component_update(comp: Component, inst: Instance, x: str, y: str) -> Component:
     if isinstance(comp, Prior):
         return posterior(comp, inst, [(x, y)])
@@ -137,15 +148,11 @@ def mixture_marginal(state: MixtureState, x: str, y: str) -> float:
         yi = inst.label_index[y]
     except KeyError as exc:
         raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
+    mask = inst.label_matrix[:, xi] == yi
     total = 0.0
     for w, comp in state.components:
-        if w == 0.0:
-            continue
-        if isinstance(comp, Prior):
-            mask = inst.label_matrix[:, xi] == yi
-            total += w * float(comp.probs[mask].sum())
-        else:
-            total += w * float(comp.weights @ comp.probs[:, xi, yi])
+        if w != 0.0:
+            total += w * _component_likelihood(comp, xi, yi, mask)
     return total
 
 
@@ -194,14 +201,7 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     xi = inst.example_index[x]
     yi = inst.label_index[y]
     mask = inst.label_matrix[:, xi] == yi
-    likelihoods = np.array(
-        [
-            float(comp.probs[mask].sum())
-            if isinstance(comp, Prior)
-            else float(comp.weights @ comp.probs[:, xi, yi])
-            for comp in state.posteriors
-        ]
-    )
+    likelihoods = np.array([_component_likelihood(c, xi, yi, mask) for c in state.posteriors])
     new_weights = state.weights * likelihoods
     total = float(new_weights.sum())
     if total <= 0.0:

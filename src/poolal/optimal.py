@@ -8,8 +8,10 @@ Three oracles: maximum expected utility, maximum worst-case utility,
 and minimum expected identification cost.  They exist to verify
 approximation ratios and robustness bounds at desk scale, so instance
 sizes are capped.  The memoized recursions key on the pair
-(consistent-hypothesis set, available-example set); the queried set is
-recoverable from the key, so no float ever enters a cache key.
+(consistent-hypothesis set, available-example set), each an ascending
+tuple of indices, and split a set on an example's labels with
+:func:`_split`; the queried set is recoverable from the key, so no float
+ever enters a cache key.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ class SizeCapError(ValueError):
 
 class IdentificationError(ValueError):
     """A policy (or the pool itself) cannot separate two positive-mass hypotheses."""
+
+
+def _no_separator(inst: Instance, V: tuple[int, ...]) -> IdentificationError:
+    a, b = (inst.hypotheses[hi].id for hi in V[:2])
+    return IdentificationError(f"no example separates {a!r} from {b!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +145,12 @@ def c_avg(p: Prior, tree: PolicyTree) -> float:
     return total
 
 
+def _split(inst: Instance, V: tuple[int, ...], xi: int) -> tuple[tuple[int, ...], ...]:
+    """V's members for each label of example ``xi``, each part ascending."""
+    col = inst.label_matrix[:, xi].tolist()
+    return tuple(tuple(hi for hi in V if col[hi] == yi) for yi in range(inst.n_labels))
+
+
 def _check_caps(inst: Instance, example_cap: int, hypothesis_cap: int) -> None:
     if inst.n_examples > example_cap:
         raise SizeCapError(
@@ -177,18 +190,17 @@ def _search_rounds(
     so ``batch_size == 1`` is the fully adaptive search.  A branch's
     value is the sum (or, with ``worst_case``, the min) of its children.
     """
-    memo: dict[tuple[frozenset[int], frozenset[int]], tuple[float, PolicyNode | None]] = {}
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, PolicyNode | None]] = {}
     explored = 0
 
-    def leaf_value(V: frozenset[int]) -> float:
+    def leaf_value(V: tuple[int, ...]) -> float:
         # V is every member's agreement set on the queried examples
-        members = sorted(V)
-        v = set_utility(u, p, inst, np.array(members))
+        v = set_utility(u, p, inst, np.array(V))
         if worst_case:
             return v
-        return sum(float(p.probs[hi]) * v for hi in members)
+        return sum(float(p.probs[hi]) * v for hi in V)
 
-    def search(V: frozenset[int], avail: frozenset[int]) -> tuple[float, PolicyNode | None]:
+    def search(V: tuple[int, ...], avail: tuple[int, ...]) -> tuple[float, PolicyNode | None]:
         key = (V, avail)
         if key in memo:
             return memo[key]
@@ -198,18 +210,16 @@ def _search_rounds(
             memo[key] = (leaf_value(V), None)
             return memo[key]
         best_val, best_node = -math.inf, None
-        for batch in itertools.combinations(sorted(avail), batch_size):
-            rest = avail - set(batch)
+        for batch in itertools.combinations(avail, batch_size):
+            rest = tuple(i for i in avail if i not in batch)
 
-            def expand(V2: frozenset[int], pos: int) -> tuple[float, PolicyNode | None]:
+            def expand(V2: tuple[int, ...], pos: int) -> tuple[float, PolicyNode | None]:
                 if pos == len(batch):
                     return search(V2, rest)
                 xi = batch[pos]
-                col = inst.label_matrix[:, xi]
                 agg = math.inf if worst_case else 0.0
                 children: list[PolicyNode | None] = []
-                for yi in range(inst.n_labels):
-                    Vy = frozenset(hi for hi in V2 if col[hi] == yi)
+                for Vy in _split(inst, V2, xi):
                     if not Vy:
                         children.append(None)
                         continue
@@ -224,9 +234,7 @@ def _search_rounds(
         memo[key] = (best_val, best_node)
         return memo[key]
 
-    value, root = search(
-        frozenset(range(inst.n_hypotheses)), frozenset(range(inst.n_examples))
-    )
+    value, root = search(tuple(range(inst.n_hypotheses)), tuple(range(inst.n_examples)))
     return OptResult(value, PolicyTree(inst, root), explored)
 
 
@@ -271,10 +279,10 @@ def opt_min_cost(
     _check_prior(p, inst)
     _check_caps(inst, example_cap, hypothesis_cap)
 
-    memo: dict[frozenset[int], tuple[float, PolicyNode | None]] = {}
+    memo: dict[tuple[int, ...], tuple[float, PolicyNode | None]] = {}
     explored = 0
 
-    def search(V: frozenset[int]) -> tuple[float, PolicyNode | None]:
+    def search(V: tuple[int, ...]) -> tuple[float, PolicyNode | None]:
         # returns the support-mass-weighted remaining cost (unnormalized)
         if V in memo:
             return memo[V]
@@ -283,16 +291,15 @@ def opt_min_cost(
         if len(V) <= 1:
             memo[V] = (0.0, None)
             return memo[V]
-        mass = float(p.probs[sorted(V)].sum())
+        mass = float(p.probs[list(V)].sum())
         best_val, best_node = math.inf, None
         for xi in range(inst.n_examples):
-            col = inst.label_matrix[:, xi]
-            if len({int(col[hi]) for hi in V}) < 2:
+            parts = _split(inst, V, xi)
+            if sum(1 for Vy in parts if Vy) < 2:
                 continue  # xi does not split V
             val = mass
             children: list[PolicyNode | None] = []
-            for yi in range(inst.n_labels):
-                Vy = frozenset(hi for hi in V if col[hi] == yi)
+            for Vy in parts:
                 if not Vy:
                     children.append(None)
                     continue
@@ -303,16 +310,11 @@ def opt_min_cost(
                 best_val = val
                 best_node = PolicyNode(inst.examples[xi], tuple(children))
         if best_node is None:
-            pair = sorted(V)[:2]
-            raise IdentificationError(
-                f"no example separates {inst.hypotheses[pair[0]].id!r} from "
-                f"{inst.hypotheses[pair[1]].id!r}"
-            )
+            raise _no_separator(inst, V)
         memo[V] = (best_val, best_node)
         return memo[V]
 
-    support = frozenset(int(i) for i in p.support)
-    value, root = search(support)
+    value, root = search(tuple(p.support.tolist()))
     return OptResult(value, PolicyTree(inst, root), explored)
 
 
@@ -344,18 +346,17 @@ def opt_worst_naive(p: Prior, u: Utility, inst: Instance, budget: int) -> float:
     return max(f_worst(p, u, PolicyTree(inst, root)) for root in roots)
 
 
-def _all_identification_nodes(inst: Instance, V: frozenset[int], avail: tuple[int, ...]):
+def _all_identification_nodes(inst: Instance, V: tuple[int, ...], avail: tuple[int, ...]):
     if len(V) <= 1:
         yield None
         return
     for xi in avail:
-        col = inst.label_matrix[:, xi]
-        if len({int(col[hi]) for hi in V}) < 2:
+        parts = _split(inst, V, xi)
+        if sum(1 for Vy in parts if Vy) < 2:
             continue
         rest = tuple(i for i in avail if i != xi)
         per_label = []
-        for yi in range(inst.n_labels):
-            Vy = frozenset(hi for hi in V if col[hi] == yi)
+        for Vy in parts:
             if not Vy:
                 per_label.append([None])
             else:
@@ -366,21 +367,12 @@ def _all_identification_nodes(inst: Instance, V: frozenset[int], avail: tuple[in
 
 def opt_min_cost_naive(p: Prior, inst: Instance) -> float:
     """Enumerate every identification tree over the support and take the cheapest."""
-    support = frozenset(int(i) for i in p.support)
-    best = math.inf
-    found = False
-    for root in _all_identification_nodes(inst, support, tuple(range(inst.n_examples))):
-        found = True
-        best = min(best, c_avg(p, PolicyTree(inst, root)))
-    if not found:
-        if len(support) <= 1:
-            return 0.0
-        pair = sorted(support)[:2]
-        raise IdentificationError(
-            f"no example separates {inst.hypotheses[pair[0]].id!r} from "
-            f"{inst.hypotheses[pair[1]].id!r}"
-        )
-    return best
+    support = tuple(p.support.tolist())
+    roots = _all_identification_nodes(inst, support, tuple(range(inst.n_examples)))
+    costs = [c_avg(p, PolicyTree(inst, root)) for root in roots]
+    if not costs:  # a singleton support yields the empty tree, so this needs a pair
+        raise _no_separator(inst, support)
+    return min(costs)
 
 
 def opt_avg_batch(

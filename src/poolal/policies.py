@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -195,9 +195,7 @@ def select_batch_max_gibbs(
     return tuple(inst.examples[i] for i in batch)
 
 
-def _branch_posterior(
-    q: Prior, inst: Instance, consistent: np.ndarray, mask_xy: np.ndarray
-) -> Prior:
+def _branch_posterior(q: Prior, consistent: np.ndarray, mask_xy: np.ndarray) -> Prior:
     """Posterior handed down a label branch.
 
     Positive-mass branches get the renormalized Bayes restriction of
@@ -211,6 +209,45 @@ def _branch_posterior(
         return Prior(np.where(mask_xy, q.probs, 0.0) / mass)
     fallback = np.where(consistent, 1.0, 0.0)
     return Prior(fallback / fallback.sum())
+
+
+def _grow_rounds(
+    p: Prior, inst: Instance, n_rounds: int, choose: Callable, stop_when_identified: bool = False
+) -> PolicyTree:
+    """The one tree grower behind both greedy builders.
+
+    Each round ``choose(q, avail)`` returns a tuple of pool indices from
+    the ascending tuple ``avail``; that batch is queried blind, in order,
+    and the tree adapts only between rounds.  ``stop_when_identified``
+    ends a path once the positive-mass version space is a singleton.
+    Callers check that ``n_rounds`` batches fit in the pool.
+    """
+
+    def grow(q: Prior, consistent: np.ndarray, avail: tuple[int, ...], rounds_left: int):
+        if rounds_left == 0 or (stop_when_identified and len(q.support) <= 1):
+            return None
+        batch = choose(q, avail)
+        rest = tuple(i for i in avail if i not in batch)
+
+        def within(q2: Prior, cons2: np.ndarray, pos: int):
+            if pos == len(batch):
+                return grow(q2, cons2, rest, rounds_left - 1)
+            xi = batch[pos]
+            children = []
+            for yi in range(inst.n_labels):
+                mask_xy = inst.label_matrix[:, xi] == yi
+                on_branch = cons2 & mask_xy
+                if not on_branch.any():
+                    children.append(None)
+                    continue
+                q_child = _branch_posterior(q2, on_branch, mask_xy)
+                children.append(within(q_child, on_branch, pos + 1))
+            return PolicyNode(inst.examples[xi], tuple(children))
+
+        return within(q, consistent, 0)
+
+    all_consistent = np.ones(inst.n_hypotheses, dtype=bool)
+    return PolicyTree(inst, grow(p, all_consistent, tuple(range(inst.n_examples)), n_rounds))
 
 
 def build_policy(
@@ -232,29 +269,11 @@ def build_policy(
     if not 1 <= budget <= inst.n_examples:
         raise ValueError(f"budget must lie in [1, {inst.n_examples}], got {budget}")
 
-    def grow(q: Prior, consistent: np.ndarray, avail: tuple[int, ...], depth_left: int):
-        if depth_left == 0 or not avail:
-            return None
-        if stop_when_identified and len(q.support) <= 1:
-            return None
+    def choose(q: Prior, avail: tuple[int, ...]) -> tuple[int, ...]:
         x = select(criterion, q, inst, (inst.examples[i] for i in avail), loss)
-        xi = inst.example_index[x]
-        rest = tuple(i for i in avail if i != xi)
-        children = []
-        for yi in range(inst.n_labels):
-            on_branch = consistent & (inst.label_matrix[:, xi] == yi)
-            if not on_branch.any():
-                children.append(None)
-                continue
-            q_child = _branch_posterior(q, inst, on_branch, inst.label_matrix[:, xi] == yi)
-            # the child's posterior zeroes everything off the branch, so
-            # restrict explicitly only for the consistency bookkeeping
-            children.append(grow(q_child, on_branch, rest, depth_left - 1))
-        return PolicyNode(x, tuple(children))
+        return (inst.example_index[x],)
 
-    all_consistent = np.ones(inst.n_hypotheses, dtype=bool)
-    root = grow(p, all_consistent, tuple(range(inst.n_examples)), budget)
-    return PolicyTree(inst, root)
+    return _grow_rounds(p, inst, budget, choose, stop_when_identified)
 
 
 def build_batch_policy(
@@ -272,34 +291,11 @@ def build_batch_policy(
     if n_rounds * batch_size > inst.n_examples:
         raise ValueError("batch rounds exceed the pool size")
 
-    def grow_round(q: Prior, consistent: np.ndarray, avail: tuple[int, ...], rounds_left: int):
-        if rounds_left == 0 or len(avail) < batch_size:
-            return None
-        batch = select_batch_max_gibbs(
-            q, inst, (inst.examples[i] for i in avail), batch_size
-        )
-        batch_idx = tuple(inst.example_index[x] for x in batch)
-        rest = tuple(i for i in avail if i not in batch_idx)
+    def choose(q: Prior, avail: tuple[int, ...]) -> tuple[int, ...]:
+        batch = select_batch_max_gibbs(q, inst, (inst.examples[i] for i in avail), batch_size)
+        return tuple(inst.example_index[x] for x in batch)
 
-        def grow_within(q2: Prior, cons2: np.ndarray, pos: int):
-            if pos == len(batch_idx):
-                return grow_round(q2, cons2, rest, rounds_left - 1)
-            xi = batch_idx[pos]
-            children = []
-            for yi in range(inst.n_labels):
-                on_branch = cons2 & (inst.label_matrix[:, xi] == yi)
-                if not on_branch.any():
-                    children.append(None)
-                    continue
-                q_child = _branch_posterior(q2, inst, on_branch, inst.label_matrix[:, xi] == yi)
-                children.append(grow_within(q_child, on_branch, pos + 1))
-            return PolicyNode(inst.examples[xi], tuple(children))
-
-        return grow_within(q, consistent, 0)
-
-    all_consistent = np.ones(inst.n_hypotheses, dtype=bool)
-    root = grow_round(p, all_consistent, tuple(range(inst.n_examples)), n_rounds)
-    return PolicyTree(inst, root)
+    return _grow_rounds(p, inst, n_rounds, choose)
 
 
 def run_policy(

@@ -9,6 +9,7 @@ not, which is exactly what makes it useful as a counterexample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -19,6 +20,7 @@ from .core import (
     Instance,
     Prior,
     _check_prior,
+    _consistent_mask,
     random_prior,
 )
 
@@ -70,12 +72,22 @@ def hamming_loss(inst: Instance) -> LossMatrix:
 
 
 def load_loss_matrix(path, inst: Instance | None = None) -> LossMatrix:
-    """Read a comma-separated loss matrix in hypothesis order."""
-    rows = []
+    """Read a comma-separated loss matrix in hypothesis order; errors name the line."""
+    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append([float(v) for v in line.strip().split(",")])
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = [float(v) for v in line.strip().split(",")]
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            width = len(rows[0]) if rows else len(row)
+            if len(row) != width:
+                raise ValueError(f"line {line_no}: expected {width} entries, got {len(row)}")
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"line {line_no}: non-finite loss in {line.strip()!r}")
+            rows.append(row)
     arr = np.array(rows, dtype=float)
     if inst is not None and arr.shape != (inst.n_hypotheses, inst.n_hypotheses):
         raise ValueError(
@@ -115,31 +127,13 @@ class PruningCount:
 Utility = Union[VersionSpaceReduction, GeneralizedReduction, PruningCount]
 
 
-def _agreement_mask(inst: Instance, S_idx: tuple[int, ...], h_idx: int) -> np.ndarray:
-    """Hypotheses whose labels match hypothesis ``h_idx`` on the queried set."""
-    if not S_idx:
-        return np.ones(inst.n_hypotheses, dtype=bool)
-    cols = inst.label_matrix[:, S_idx]
-    return (cols == cols[h_idx]).all(axis=1)
-
-
-def _resolve_set(inst: Instance, S: Iterable[str]) -> tuple[int, ...]:
-    idx = set()
-    for x in S:
-        try:
-            idx.add(inst.example_index[x])
-        except KeyError:
-            raise ValueError(f"unknown example {x!r}") from None
-    return tuple(sorted(idx))
-
-
 def eval_utility(
     u: Utility, p: Prior, inst: Instance, S: Iterable[str], h: Hypothesis
 ) -> float:
     """Evaluate a utility at (queried set ``S``, true labeling ``h``) under ``p``."""
     _check_prior(p, inst)
-    h_idx = inst.hypothesis_index(h)
-    return set_utility(u, p, inst, _agreement_mask(inst, _resolve_set(inst, S), h_idx))
+    inst.hypothesis_index(h)  # rejects a labeling that is not in the instance
+    return set_utility(u, p, inst, _consistent_mask(inst, ((x, h.label_of(x)) for x in S)))
 
 
 def set_utility(u: Utility, p: Prior, inst: Instance, agree: np.ndarray) -> float:

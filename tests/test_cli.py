@@ -70,6 +70,34 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: line 3")
 
+    @pytest.mark.parametrize("spec", ["5,14,2", "4,20,3"])
+    @pytest.mark.parametrize("utility", ["version-space", "generalized", "pruning"])
+    @pytest.mark.parametrize("criterion", pl.CRITERIA)
+    def test_csv_equals_per_hypothesis_replay(self, capsys, spec, utility, criterion):
+        args = ("--synthetic", spec, "--seed", "7", "--budget", "3")
+        extra = ("--loss", "hamming") if utility == "generalized" else ()
+        code, out, _ = run_cli(
+            capsys, "run", *args, "--utility", utility, "--criterion", criterion, *extra
+        )
+        assert code == 0
+
+        rng = np.random.default_rng(7)
+        inst = pl.random_instance(*(int(v) for v in spec.split(",")), rng=rng)
+        prior = pl.random_prior(inst, rng)
+        u = {
+            "version-space": pl.VersionSpaceReduction(),
+            "generalized": pl.GeneralizedReduction(pl.hamming_loss(inst)),
+            "pruning": pl.PruningCount(0.01),
+        }[utility]
+        loss = u.loss if utility == "generalized" else None
+        tree = pl.build_policy(criterion, prior, inst, 3, loss=loss)
+        lines = ["# schema: poolal-run-v1", "hypothesis,queried,labels,utility,cost"]
+        for h in inst.hypotheses:
+            queried, labels, cost = pl.run_policy(tree, h)
+            value = pl.eval_utility(u, prior, inst, queried, h)
+            lines.append(f"{h.id},{'|'.join(queried)},{'|'.join(labels)},{value!r},{cost}")
+        assert out == "\n".join(lines) + "\n"
+
 
 class TestOptimal:
     def test_min_cost_square(self, capsys, square_file):

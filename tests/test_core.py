@@ -167,6 +167,56 @@ class TestInducePrior:
             pl.induce_prior(ens, square).probs, [0.08, 0.72, 0.02, 0.18]
         )
 
+    @staticmethod
+    def _long_pool(n_examples=1200):
+        examples = tuple(f"x{i}" for i in range(n_examples))
+        rows = [("0",) * n_examples, ("1",) * n_examples, ("0", "1") * (n_examples // 2)]
+        hyps = [pl.Hypothesis(f"h{k}", examples, row) for k, row in enumerate(rows)]
+        return pl.Instance(examples, ("0", "1"), hyps)
+
+    def test_underflowing_products_fall_back_to_log_space(self):
+        # 0.5 ** 1200 underflows to 0.0 for every hypothesis
+        inst = self._long_pool()
+        ens = pl.ModelEnsemble(inst, [1.0], np.full((1, inst.n_examples, 2), 0.5))
+        np.testing.assert_array_equal(pl.induce_prior(ens, inst).probs, [1 / 3] * 3)
+
+    def test_log_space_mixes_members(self):
+        inst = self._long_pool()
+        table = np.empty((2, inst.n_examples, 2))
+        table[0] = 0.5
+        table[1, :, 0], table[1, :, 1] = 0.51, 0.49
+        ens = pl.ModelEnsemble(inst, [0.25, 0.75], table)
+        n = inst.n_examples
+        logs = [  # log-mass per (hypothesis, member), written out by hand
+            [n * np.log(0.5), n * np.log(0.51)],
+            [n * np.log(0.5), n * np.log(0.49)],
+            [n * np.log(0.5), n / 2 * (np.log(0.51) + np.log(0.49))],
+        ]
+        log_w = np.log([0.25, 0.75])
+        expected = np.array([np.logaddexp(*(np.array(row) + log_w)) for row in logs])
+        expected = np.exp(expected - np.logaddexp.reduce(expected))
+        np.testing.assert_allclose(pl.induce_prior(ens, inst).probs, expected, rtol=1e-9)
+
+    def test_exact_zero_factor_stays_zero_in_log_space(self):
+        inst = self._long_pool()
+        table = np.full((1, inst.n_examples, 2), 0.5)
+        table[0, 1] = (1.0, 0.0)  # x1 is surely '0': the alternating labeling is impossible
+        ens = pl.ModelEnsemble(inst, [1.0], table)
+        probs = pl.induce_prior(ens, inst).probs
+        assert probs[2] == 0.0 and probs[1] == 0.0
+        assert probs[0] == 1.0
+
+    def test_no_underflow_keeps_the_plain_product(self):
+        inst = pl.full_hypothesis_space(("x0", "x1", "x2", "x3"), ("0", "1", "2"))
+        rng = np.random.default_rng(4)
+        table = rng.dirichlet(np.ones(3), size=(3, 4))
+        ens = pl.ModelEnsemble(inst, [0.2, 0.3, 0.5], table)
+        cols = np.arange(inst.n_examples)
+        mass = np.zeros(inst.n_hypotheses)
+        for m in range(3):
+            mass += ens.weights[m] * table[m][cols[None, :], inst.label_matrix].prod(axis=1)
+        np.testing.assert_array_equal(pl.induce_prior(ens, inst).probs, mass / mass.sum())
+
     def test_marginals_match_ensemble(self):
         inst = pl.full_hypothesis_space(("x0", "x1", "x2"), ("0", "1"))
         rng = np.random.default_rng(9)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -216,3 +217,68 @@ def test_policy_text_golden(square):
     tree = build_policy("max_gibbs", pl.uniform_prior(square), square, 2)
     assert policy_to_text(tree) == "0,x0,\n1,x1,0\n1,x1,1\n"
     assert policy_to_text(PolicyTree(square, None)) == ""
+
+
+# ---------------------------------------------------------------------------
+# Golden trees: sha256 of policy_to_text (first 16 hex digits) for seeded
+# instances larger than ``square``, so any change to a built tree shows here.
+
+
+def _golden_instance(name):
+    n_x, n_h, n_y, seed, zero_mass = {
+        "binary": (6, 24, 2, 11, False),
+        "ternary": (5, 30, 3, 12, False),
+        "zero_mass": (6, 20, 2, 13, True),
+    }[name]
+    rng = np.random.default_rng(seed)
+    inst = pl.random_instance(n_x, n_h, n_y, rng=rng)
+    probs = pl.random_prior(inst, rng).probs.copy()
+    if zero_mass:
+        probs[np.arange(n_h) % 3 != 0] = 0.0
+        probs /= probs.sum()
+    return inst, pl.Prior(probs)
+
+
+def _golden_tree(case):
+    name, kind = case.split("/")
+    inst, p = _golden_instance(name)
+    if kind in pl.CRITERIA:
+        return build_policy(kind, p, inst, 3)
+    if kind == "identify":
+        return build_policy("gbs", p, inst, inst.n_examples, stop_when_identified=True)
+    n_rounds, batch_size = {"batch2x2": (2, 2), "batch1x3": (1, 3)}[kind]
+    return pl.build_batch_policy(p, inst, n_rounds, batch_size)
+
+
+GOLDEN_TREE_DIGESTS = {
+    "binary/max_gibbs": "3b3ced61696efab2",
+    "binary/least_confidence": "3b3ced61696efab2",
+    "binary/max_entropy": "3b3ced61696efab2",
+    "binary/gbs": "3b3ced61696efab2",
+    "binary/worst_gen_gibbs": "753466f33aae137d",
+    "binary/identify": "336dc1340fe3483f",
+    "binary/batch2x2": "7a68b51fc268a620",
+    "binary/batch1x3": "279b296485770e3c",
+    "ternary/max_gibbs": "224e5ebf85d9786d",
+    "ternary/least_confidence": "224e5ebf85d9786d",
+    "ternary/max_entropy": "f35fbc3e1dbc43d5",
+    "ternary/gbs": "224e5ebf85d9786d",
+    "ternary/worst_gen_gibbs": "b283fbe9e4870586",
+    "ternary/identify": "301316c8d67954b1",
+    "ternary/batch2x2": "3c1f39e80b821182",
+    "ternary/batch1x3": "795d138feddf4e42",
+    "zero_mass/max_gibbs": "7d7d21a9cf2e81e6",
+    "zero_mass/least_confidence": "7d7d21a9cf2e81e6",
+    "zero_mass/max_entropy": "7d7d21a9cf2e81e6",
+    "zero_mass/gbs": "7d7d21a9cf2e81e6",
+    "zero_mass/worst_gen_gibbs": "82fd4538ac5a582d",
+    "zero_mass/identify": "5775fb3551b216c9",
+    "zero_mass/batch2x2": "13597091e7e9d6c5",
+    "zero_mass/batch1x3": "7d7d21a9cf2e81e6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TREE_DIGESTS))
+def test_policy_tree_golden_digest(case):
+    text = policy_to_text(_golden_tree(case))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN_TREE_DIGESTS[case]

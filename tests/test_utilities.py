@@ -63,6 +63,24 @@ class TestLossMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             load_loss_matrix(path)
 
+    def test_file_bad_token_reports_line(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("0,1\n\nzz,0\n")
+        with pytest.raises(ValueError, match=r"^line 3: could not convert string to float: 'zz'"):
+            load_loss_matrix(path)
+
+    def test_file_ragged_row_reports_line(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("0,1\n1,0,1\n")
+        with pytest.raises(ValueError, match=r"^line 2: expected 2 entries, got 3"):
+            load_loss_matrix(path)
+
+    def test_file_non_finite_entry_reports_line(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("0,nan\n1,0\n")
+        with pytest.raises(ValueError, match=r"^line 1: non-finite"):
+            load_loss_matrix(path)
+
 
 class TestVersionSpaceReduction:
     def test_empty_set_is_zero(self, square):
