@@ -105,33 +105,43 @@ def select_from_marginals(
     return best_xi
 
 
-def _worst_gen_gibbs_index(
+def _worst_gen_gibbs_gains(
     p: Prior, inst: Instance, candidates: Sequence[int], loss: LossMatrix
-) -> int:
-    """argmax over x of the worst-case one-query generalized reduction.
+) -> np.ndarray:
+    """Worst-case one-query generalized reduction of each candidate.
 
-    For each candidate the gain under an observable label y is the
-    loss-weighted pair mass broken by that observation; the score is
-    the minimum over labels with positive marginal probability.
+    The gain under an observable label y is the loss-weighted pair mass
+    broken by that observation, qLq - q_in L q_in, with q_in the mass of
+    q restricted to the y-branch; a candidate's score is the minimum over
+    labels whose branch has positive mass.  A branch without mass gains
+    all of qLq, the most any branch can, so it never sets the minimum
+    and needs no test.
+
+    q and the distinct vectors q_in are stacked as the rows of one matrix
+    Q, so every quadratic form comes from a single ``Q @ L`` product that
+    reads L once.  Bitwise identical vectors share a row, so identical
+    splits score identically and a split that separates nothing scores
+    exactly 0; ``np.argmax`` over the scores then picks the lowest pool
+    index among exact ties.
     """
-    L = loss.values
     q = p.probs
-    total = float(q @ L @ q)
-    best_xi, best = None, -math.inf
-    for xi in candidates:
-        worst_gain = math.inf
-        col = inst.label_matrix[:, xi]
-        for yi in range(inst.n_labels):
-            consistent = col == yi
-            mass = float(q[consistent].sum())
-            if mass <= 0.0:
-                continue
-            q_in = np.where(consistent, q, 0.0)
-            gain = total - float(q_in @ L @ q_in)
-            worst_gain = min(worst_gain, gain)
-        if worst_gain > best:
-            best, best_xi = worst_gain, xi
-    return best_xi
+    cols = inst.label_matrix[:, candidates].T  # (C, H)
+    q_in = np.where(cols[:, None, :] == np.arange(inst.n_labels)[:, None], q, 0.0)  # (C, Y, H)
+    # distinct rows keyed by their bytes, in first-seen order, q first
+    row_of = {q.tobytes(): 0}
+    inverse = [row_of.setdefault(v.tobytes(), len(row_of)) for v in q_in.reshape(-1, q.size)]
+    Q = np.frombuffer(b"".join(row_of), dtype=q.dtype).reshape(len(row_of), q.size)
+    pair_mass = np.einsum("ij,ij->i", Q @ loss.values, Q)
+    # qLq - m falls as m grows, so the worst label is the one keeping the most pair mass
+    return pair_mass[0] - pair_mass[inverse].reshape(len(candidates), inst.n_labels).max(axis=1)
+
+
+def _candidates(inst: Instance, available: Iterable[str]) -> list[int]:
+    """Ascending pool indices of ``available``; unknown names raise ValueError."""
+    try:
+        return sorted(inst.example_index[x] for x in set(available))
+    except KeyError as exc:
+        raise ValueError(f"unknown example {exc.args[0]!r}") from None
 
 
 def select(
@@ -149,15 +159,13 @@ def select(
     generalized reduction; ``loss`` defaults to 0-1).
     """
     _check_prior(p, inst)
-    try:
-        candidates = sorted(inst.example_index[x] for x in set(available))
-    except KeyError as exc:
-        raise ValueError(f"unknown example {exc.args[0]!r}") from None
+    candidates = _candidates(inst, available)
     if not candidates:
         raise ValueError("no examples available to select from")
 
     if criterion == "worst_gen_gibbs":
-        xi = _worst_gen_gibbs_index(p, inst, candidates, loss or zero_one_loss(inst))
+        gains = _worst_gen_gibbs_gains(p, inst, candidates, loss or zero_one_loss(inst))
+        xi = candidates[int(np.argmax(gains))]
     elif criterion in CRITERIA:
         xi = select_from_marginals(criterion, label_marginals(p, inst), candidates)
     else:
@@ -166,19 +174,34 @@ def select(
 
 
 def _joint_gibbs_error(p: Prior, inst: Instance, batch_idx: Sequence[int]) -> float:
-    """Gibbs error of the joint label sequence of a batch: 1 - sum_y p[y;B]^2."""
-    rows = inst.label_matrix[:, tuple(batch_idx)]
-    _, inverse = np.unique(rows, axis=0, return_inverse=True)
-    masses = np.bincount(inverse, weights=p.probs)
+    """Gibbs error of the joint label sequence of a batch: 1 - sum_y p[y;B]^2.
+
+    Each hypothesis's labels on the batch become one integer code, first
+    batch member most significant, re-ranked densely after every member
+    so codes stay below n_hypotheses * n_labels.  Code order is the
+    lexicographic order of the label rows, and ``np.bincount`` sums each
+    joint label's mass in hypothesis order.
+    """
+    codes = np.zeros(inst.n_hypotheses, dtype=np.intp)
+    for xi in batch_idx:
+        codes = codes * inst.n_labels + inst.label_matrix[:, xi]
+        ranks = np.cumsum(np.bincount(codes) > 0) - 1
+        codes = ranks[codes]
+    masses = np.bincount(codes, weights=p.probs)
     return 1.0 - float((masses**2).sum())
 
 
 def select_batch_max_gibbs(
     p: Prior, inst: Instance, available: Iterable[str], batch_size: int
 ) -> tuple[str, ...]:
-    """Greedily grow a batch maximizing the joint-label Gibbs error."""
+    """Greedily grow a batch maximizing the joint-label Gibbs error.
+
+    Each step adds the available example whose joint Gibbs error with
+    the batch so far is largest, the lowest pool index winning ties.
+    Unknown example names raise ``ValueError``, as in ``select``.
+    """
     _check_prior(p, inst)
-    remaining = sorted(inst.example_index[x] for x in set(available))
+    remaining = _candidates(inst, available)
     if not 1 <= batch_size <= len(remaining):
         raise ValueError(
             f"batch size {batch_size} out of range for {len(remaining)} available examples"
@@ -224,7 +247,7 @@ def _grow_rounds(
     """
 
     def grow(q: Prior, consistent: np.ndarray, avail: tuple[int, ...], rounds_left: int):
-        if rounds_left == 0 or (stop_when_identified and len(q.support) <= 1):
+        if rounds_left == 0 or (stop_when_identified and np.count_nonzero(q.probs) <= 1):
             return None
         batch = choose(q, avail)
         rest = tuple(i for i in avail if i not in batch)

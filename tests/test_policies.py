@@ -1,13 +1,18 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poolal as pl
 from poolal.policies import (
     PolicyNode,
     PolicyTree,
+    _joint_gibbs_error,
+    _worst_gen_gibbs_gains,
     build_policy,
     greedy_transcript,
     policy_to_text,
@@ -93,6 +98,10 @@ class TestSelectBatch:
     def test_batch_size_out_of_range(self, square):
         with pytest.raises(ValueError, match="batch size"):
             select_batch_max_gibbs(pl.uniform_prior(square), square, square.examples, 3)
+
+    def test_unknown_example_rejected(self, square):
+        with pytest.raises(ValueError, match="unknown example 'zz'"):
+            select_batch_max_gibbs(pl.uniform_prior(square), square, ["zz"], 1)
 
 
 class TestBuildPolicy:
@@ -282,3 +291,131 @@ GOLDEN_TREE_DIGESTS = {
 def test_policy_tree_golden_digest(case):
     text = policy_to_text(_golden_tree(case))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN_TREE_DIGESTS[case]
+
+
+# ---------------------------------------------------------------------------
+# The selection kernels against the formulas they replaced: a lexicographic
+# row sort for the joint Gibbs error, one q_in @ L @ q_in per branch for the
+# worst-case generalized gain.
+
+
+def ref_joint_gibbs_error(p, inst, batch_idx):
+    rows = inst.label_matrix[:, tuple(batch_idx)]
+    _, inverse = np.unique(rows, axis=0, return_inverse=True)
+    masses = np.bincount(inverse, weights=p.probs)
+    return 1.0 - float((masses**2).sum())
+
+
+def ref_worst_gen_gibbs_gains(p, inst, candidates, loss):
+    L, q = loss.values, p.probs
+    total = float(q @ L @ q)
+    gains = []
+    for xi in candidates:
+        worst = math.inf
+        for yi in range(inst.n_labels):
+            consistent = inst.label_matrix[:, xi] == yi
+            if float(q[consistent].sum()) <= 0.0:
+                continue
+            q_in = np.where(consistent, q, 0.0)
+            worst = min(worst, total - float(q_in @ L @ q_in))
+        gains.append(worst)
+    return gains
+
+
+def kernel_case(rng, max_examples=6, max_hypotheses=40):
+    """2 or 3 labels; a uniform, a random or a random prior with zero-mass hypotheses."""
+    n_y = int(rng.integers(2, 4))
+    n_x = int(rng.integers(1, max_examples + 1))
+    n_h = min(int(rng.integers(2, max_hypotheses + 1)), n_y**n_x)
+    inst = pl.random_instance(n_x, n_h, n_y, rng=rng)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return inst, pl.uniform_prior(inst)
+    probs = pl.random_prior(inst, rng).probs.copy()
+    if kind == 2:
+        probs[rng.permutation(n_h)[: n_h // 2]] = 0.0
+        probs /= probs.sum()
+    return inst, pl.Prior(probs)
+
+
+def assert_kernels_match(inst, p, rng):
+    for k in range(1, min(3, inst.n_examples) + 1):
+        batch = [int(i) for i in rng.permutation(inst.n_examples)[:k]]
+        assert _joint_gibbs_error(p, inst, batch) == ref_joint_gibbs_error(p, inst, batch)
+    n_cand = int(rng.integers(1, inst.n_examples + 1))
+    candidates = sorted(int(i) for i in rng.permutation(inst.n_examples)[:n_cand])
+    for loss in (pl.zero_one_loss(inst), pl.hamming_loss(inst)):
+        ref = ref_worst_gen_gibbs_gains(p, inst, candidates, loss)
+        got = _worst_gen_gibbs_gains(p, inst, candidates, loss)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+        top = sorted(ref)
+        if len(top) == 1 or top[-1] - top[-2] > 1e-12:
+            picked = select("worst_gen_gibbs", p, inst, [inst.examples[i] for i in candidates], loss)
+            assert picked == inst.examples[candidates[int(np.argmax(ref))]]
+
+
+class TestSelectionKernelsMatchReference:
+    def test_seeded_cases(self):
+        rng = np.random.default_rng(2016)
+        for _ in range(300):
+            inst, p = kernel_case(rng)
+            assert_kernels_match(inst, p, rng)
+
+    def test_large_case(self):
+        rng = np.random.default_rng(1603)
+        for _ in range(3):
+            inst, p = kernel_case(rng, max_examples=10, max_hypotheses=600)
+            assert_kernels_match(inst, p, rng)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_generated_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        inst, p = kernel_case(rng)
+        assert_kernels_match(inst, p, rng)
+
+    def test_joint_codes_stay_small(self):
+        # 40 ternary members would need codes up to 3**40 without re-ranking
+        rng = np.random.default_rng(7)
+        examples = tuple(f"x{i}" for i in range(40))
+        rows = rng.integers(0, 3, size=(50, 40))
+        hyps = [pl.Hypothesis(f"h{k}", examples, tuple(map(str, row))) for k, row in enumerate(rows)]
+        inst = pl.Instance(examples, ("0", "1", "2"), hyps)
+        p = pl.random_prior(inst, rng)
+        batch = list(range(40))
+        assert _joint_gibbs_error(p, inst, batch) == ref_joint_gibbs_error(p, inst, batch)
+
+    @pytest.mark.parametrize("loss_fn", [pl.zero_one_loss, pl.hamming_loss])
+    def test_split_that_separates_nothing_scores_zero(self, loss_fn):
+        # the support agrees on x0..x3, so querying them breaks no pair
+        rng = np.random.default_rng(9)
+        inst = pl.random_instance(9, 300, 2, rng=rng)
+        agree = (inst.label_matrix[:, :4] == inst.label_matrix[0, :4]).all(axis=1)
+        probs = np.where(agree, rng.random(inst.n_hypotheses), 0.0)
+        p = pl.Prior(probs / probs.sum())
+        gains = _worst_gen_gibbs_gains(p, inst, range(inst.n_examples), loss_fn(inst))
+        assert np.count_nonzero(agree) > 1
+        assert list(gains[:4]) == [0.0] * 4
+        assert (gains[4:] > 0).all()
+
+    @pytest.mark.parametrize("loss_fn", [pl.zero_one_loss, pl.hamming_loss])
+    def test_identical_columns_tie_to_lowest_index(self, loss_fn):
+        # a copy of the best column, inserted before and after it, at H = 600
+        rng = np.random.default_rng(5)
+        base = pl.random_instance(10, 600, 2, rng=rng)
+        p = pl.random_prior(base, rng)
+        best = base.example_index[select("worst_gen_gibbs", p, base, base.examples, loss_fn(base))]
+        for pos in (0, base.n_examples):
+            examples = list(base.examples)
+            examples.insert(pos, "copy")
+            hyps = []
+            for h in base.hypotheses:
+                labels = list(h.labels)
+                labels.insert(pos, h.labels[best])
+                hyps.append(pl.Hypothesis(h.id, tuple(examples), tuple(labels)))
+            inst = pl.Instance(examples, base.labels, hyps)
+            loss = loss_fn(inst)
+            lo, hi = sorted((inst.example_index["copy"], inst.example_index[base.examples[best]]))
+            gains = _worst_gen_gibbs_gains(p, inst, range(inst.n_examples), loss)
+            assert gains[lo] == gains[hi] == gains.max()
+            assert select("worst_gen_gibbs", p, inst, inst.examples, loss) == inst.examples[lo]
