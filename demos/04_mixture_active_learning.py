@@ -10,7 +10,6 @@ and adaptive querying beats passive selection on the way.
 import numpy as np
 
 import poolal as pl
-from poolal.cli import mixture_trajectories
 
 # A 16-example pool and four induced priors, each generated by a sharp
 # step predictor whose transition sits at a different offset.
@@ -38,7 +37,7 @@ print()
 
 # The aggregate picture: adaptive vs passive over 100 seeded draws.
 print("aggregating 100 seeded runs (this takes a few seconds)...")
-_, means = mixture_trajectories(
+_, means = pl.mixture_trajectories(
     inst, components, budget=8, n_seeds=100, criterion="max_gibbs",
     with_passive=True, seed=0,
 )

@@ -40,6 +40,7 @@ from .mixture import (
     mixture_observe,
     mixture_predict,
     mixture_step,
+    mixture_trajectories,
     run_mixture,
     sample_truth,
 )

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mixture as mx
 from .core import (
     InstanceFormatError,
     instance_text,
@@ -25,8 +24,9 @@ from .core import (
     random_prior,
     uniform_prior,
 )
+from .mixture import grid_task, mixture_trajectories
 from .optimal import _leaves, opt_avg, opt_min_cost, opt_worst
-from .policies import build_policy, run_policy, select_from_marginals
+from .policies import build_policy, run_policy
 from .robustness import counterexample_instance, sweep_reports
 from .utilities import (
     GeneralizedReduction,
@@ -260,89 +260,16 @@ def _mixture_components(opts):
             if (
                 other.examples != inst.examples
                 or other.labels != inst.labels
-                or other.n_hypotheses != inst.n_hypotheses
+                or not np.array_equal(other.label_matrix, inst.label_matrix)
             ):
                 raise ValueError("component files must share one instance")
         return inst, tuple(prior for _, prior in loaded)
-    return mx.grid_task(opts.pool, opts.components)
-
-
-def mixture_trajectories(
-    inst,
-    components,
-    budget: int,
-    n_seeds: int,
-    criterion: str = "max_gibbs",
-    with_passive: bool = False,
-    seed: int = 0,
-):
-    """Per-seed accuracy trajectories for adaptive and (optionally) passive runs.
-
-    Each seed draws a truth from the mixture; both methods see the same
-    truth.  Accuracy is measured on the still-unqueried pool after each
-    step.  Returns (rows, mean final accuracy per method).
-    """
-    rows: list[tuple] = []
-    finals: dict[str, list[float]] = {"al": []}
-    methods = ["al"] + (["passive"] if with_passive else [])
-    if with_passive:
-        finals["passive"] = []
-
-    for s in range(n_seeds):
-        rng = np.random.default_rng([seed, s])
-        truth = mx.sample_truth(inst, components, rng)
-        order = rng.permutation(inst.n_examples)  # passive query order
-        for method in methods:
-            state = mx.initial_state(inst, components)
-            marg = mx.mixture_marginals(state)
-            last_accuracy = 0.0
-            passive_pos = 0
-            for step in range(1, budget + 1):
-                queried = set(state.transcript.examples)
-                candidates = [
-                    i for i, x in enumerate(inst.examples) if x not in queried
-                ]
-                if method == "al":
-                    xi = select_from_marginals(criterion, marg, candidates)
-                else:
-                    while inst.examples[order[passive_pos]] in queried:
-                        passive_pos += 1
-                    xi = int(order[passive_pos])
-                x = inst.examples[xi]
-                y = truth.label_of(x)
-                state = mx.mixture_observe(state, x, y)
-                marg = mx.mixture_marginals(state)
-                unqueried = [
-                    i
-                    for i, ex in enumerate(inst.examples)
-                    if ex not in set(state.transcript.examples)
-                ]
-                if unqueried:
-                    predictions = np.argmax(marg[unqueried], axis=1)
-                    actual = np.array(
-                        [inst.label_index[truth.labels[i]] for i in unqueried]
-                    )
-                    last_accuracy = float((predictions == actual).mean())
-                else:
-                    last_accuracy = 1.0
-                rows.append(
-                    (s, method, step, x, y, state.weights.copy(), last_accuracy)
-                )
-            finals[method].append(last_accuracy)
-
-    means = {m: float(np.mean(v)) for m, v in finals.items()}
-    return rows, means
+    return grid_task(opts.pool, opts.components)
 
 
 def cmd_mixture_demo(opts) -> int:
-    if opts.budget is None or opts.budget < 1:
-        return _fail(f"budget must be a positive integer, got {opts.budget}")
-    if opts.seeds < 1:
-        return _fail(f"seeds must be a positive integer, got {opts.seeds}")
     try:
         inst, components = _mixture_components(opts)
-        if opts.budget > inst.n_examples:
-            return _fail(f"budget {opts.budget} exceeds the pool size {inst.n_examples}")
         rows, means = mixture_trajectories(
             inst,
             components,

@@ -28,7 +28,6 @@ from .core import (
     full_hypothesis_space,
     induce_prior,
     label_marginals,
-    posterior,
 )
 from .policies import select_from_marginals
 
@@ -70,6 +69,13 @@ class MixtureState:
     @property
     def n_components(self) -> int:
         return len(self.posteriors)
+
+    @functools.cached_property
+    def _marginals(self) -> np.ndarray:
+        """The exact mixture marginals, summed once per state (read-only)."""
+        marg = _weighted_marginals(self, use_map=False)
+        marg.setflags(write=False)
+        return marg
 
 
 def initial_state(
@@ -113,20 +119,24 @@ def _component_likelihood(comp: Component, xi: int, yi: int, mask: np.ndarray) -
     return float(comp.weights @ comp.probs[:, xi, yi])
 
 
-def _component_update(comp: Component, inst: Instance, x: str, y: str) -> Component:
+def _component_update(
+    comp: Component, like: float, mask: np.ndarray, xi: int, yi: int
+) -> Component:
+    """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0."""
     if isinstance(comp, Prior):
-        return posterior(comp, inst, [(x, y)])
-    xi = inst.example_index[x]
-    yi = inst.label_index[y]
+        # the mask and mass core.posterior would recompute: the same doubles
+        return Prior(np.where(mask, comp.probs, 0.0) / like)
+    # members keep their own normalizer: the dot product ``like`` may be an ulp off
     new_w = comp.weights * comp.probs[:, xi, yi]
     total = float(new_w.sum())
     if total <= 0.0:
+        x, y = comp.instance.examples[xi], comp.instance.labels[yi]
         raise EmptyVersionSpaceError(f"ensemble assigns zero probability to {(x, y)}")
     return comp.reweighted(new_w / total)
 
 
-def mixture_marginals(state: MixtureState, use_map: bool = False) -> np.ndarray:
-    """Weighted per-example label distributions of the mixture, shape (X, Y)."""
+def _weighted_marginals(state: MixtureState, use_map: bool) -> np.ndarray:
+    """The weight-averaged component marginals; live components only."""
     out = np.zeros((state.instance.n_examples, state.instance.n_labels))
     for i, (w, comp) in enumerate(state.components):
         if w == 0.0:
@@ -138,6 +148,14 @@ def mixture_marginals(state: MixtureState, use_map: bool = False) -> np.ndarray:
         )
         out += w * table
     return out
+
+
+def mixture_marginals(state: MixtureState, use_map: bool = False) -> np.ndarray:
+    """Weighted per-example label distributions of the mixture, shape (X, Y).
+
+    The exact table is computed once per state and shared, read-only.
+    """
+    return _weighted_marginals(state, use_map=True) if use_map else state._marginals
 
 
 def mixture_marginal(state: MixtureState, x: str, y: str) -> float:
@@ -208,19 +226,14 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
         raise ImpossibleObservationError(
             f"label {y!r} for example {x!r} has zero probability under the mixture"
         )
-    new_weights = new_weights / total
-
-    new_posteriors = []
-    for comp, like, w in zip(state.posteriors, likelihoods, new_weights):
-        if like > 0.0:
-            new_posteriors.append(_component_update(comp, inst, x, y))
-        else:
-            new_posteriors.append(comp)  # dead component, weight is 0
-
+    new_posteriors = tuple(
+        _component_update(comp, like, mask, xi, yi) if like > 0.0 else comp  # dead: weight 0
+        for comp, like in zip(state.posteriors, likelihoods)
+    )
     return MixtureState(
         inst,
-        new_weights,
-        tuple(new_posteriors),
+        new_weights / total,
+        new_posteriors,
         state.step + 1,
         LabeledSet(state.transcript.pairs + ((x, y),)),
     )
@@ -338,3 +351,55 @@ def sample_truth(
     ci = int(rng.choice(k, p=w))
     hi = int(rng.choice(inst.n_hypotheses, p=components[ci].probs))
     return inst.hypotheses[hi]
+
+
+def mixture_trajectories(
+    inst: Instance,
+    components: Sequence[Prior],
+    budget: int,
+    n_seeds: int,
+    criterion: str = "max_gibbs",
+    with_passive: bool = False,
+    seed: int = 0,
+):
+    """Per-seed accuracy trajectories for adaptive and (optionally) passive runs.
+
+    Each seed draws a truth from the mixture; both methods see the same
+    truth.  Adaptive runs take ``mixture_step`` by ``criterion``; passive
+    runs query a seeded random order.  Accuracy is measured on the
+    still-unqueried pool after each step.  Returns (rows, mean final
+    accuracy per method), one row (seed, method, step, example, label,
+    weights, accuracy) per step.
+    """
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed, got {n_seeds}")
+    if not 1 <= budget <= inst.n_examples:
+        raise ValueError(
+            f"budget must lie between 1 and the pool size {inst.n_examples}, got {budget}"
+        )
+    methods = ("al", "passive") if with_passive else ("al",)
+    finals: dict[str, list[float]] = {m: [] for m in methods}
+    rows: list[tuple] = []
+    for s in range(n_seeds):
+        rng = np.random.default_rng([seed, s])
+        truth = sample_truth(inst, components, rng)
+        order = rng.permutation(inst.n_examples)  # passive query order
+        actual = np.array([inst.label_index[y] for y in truth.labels])
+        for method, accuracies in finals.items():
+            state = initial_state(inst, components)
+            for step in range(1, budget + 1):
+                if method == "al":
+                    state = mixture_step(state, criterion, truth.label_of)
+                else:
+                    x = inst.examples[order[step - 1]]
+                    state = mixture_observe(state, x, truth.label_of(x))
+                queried = set(state.transcript.examples)
+                unqueried = [i for i, ex in enumerate(inst.examples) if ex not in queried]
+                accuracy = 1.0
+                if unqueried:
+                    predictions = np.argmax(mixture_marginals(state)[unqueried], axis=1)
+                    accuracy = float((predictions == actual[unqueried]).mean())
+                x, y = state.transcript.pairs[-1]
+                rows.append((s, method, step, x, y, state.weights.copy(), accuracy))
+            accuracies.append(accuracy)
+    return rows, {m: float(np.mean(v)) for m, v in finals.items()}

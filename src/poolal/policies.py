@@ -291,6 +291,8 @@ def build_policy(
     _check_prior(p, inst)
     if not 1 <= budget <= inst.n_examples:
         raise ValueError(f"budget must lie in [1, {inst.n_examples}], got {budget}")
+    if loss is None and criterion == "worst_gen_gibbs":
+        loss = zero_one_loss(inst)  # once per tree, not once per node
 
     def choose(q: Prior, avail: tuple[int, ...]) -> tuple[int, ...]:
         x = select(criterion, q, inst, (inst.examples[i] for i in avail), loss)
@@ -358,6 +360,8 @@ def greedy_transcript(
     _check_prior(p, inst)
     if not 0 <= budget <= inst.n_examples:
         raise ValueError(f"budget must lie in [0, {inst.n_examples}], got {budget}")
+    if loss is None and criterion == "worst_gen_gibbs":
+        loss = zero_one_loss(inst)  # once per run, not once per step
     q = p
     pairs: list[tuple[str, str]] = []
     avail = set(inst.examples)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,81 @@ class TestMixtureDemo:
         code, _, err = run_cli(capsys, "mixture-demo", "--pool", "4", "--budget", "9")
         assert code == 2
         assert "pool" in err
+
+    def test_component_files_must_share_their_labelings(self, capsys, tmp_path, square):
+        # the same four labelings, listed in another order: the priors would misalign
+        flipped = pl.Instance(square.examples, square.labels, square.hypotheses[::-1])
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        pl.save_instance(paths[0], square, pl.Prior([0.4, 0.3, 0.2, 0.1]))
+        pl.save_instance(paths[1], flipped, pl.Prior([0.4, 0.3, 0.2, 0.1]))
+        code, _, err = run_cli(
+            capsys, "mixture-demo", "--component-files", ",".join(map(str, paths)),
+            "--budget", "1", "--seeds", "1",
+        )
+        assert code == 2
+        assert "component files must share one instance" in err
+
+
+def _component_files(tmp_path, n_x, n_h, n_y, n_components, seed, dying=False):
+    """Seeded component files over one random instance; ``dying`` zeroes part of component 0.
+
+    With ``dying``, component 0 puts no mass on labelings whose x0 label
+    is not the first label, so it dies once a truth shows otherwise.
+    """
+    rng = np.random.default_rng(seed)
+    inst = pl.random_instance(n_x, n_h, n_y, rng=rng)
+    paths = []
+    for c in range(n_components):
+        probs = rng.dirichlet(np.ones(n_h))
+        if dying and c == 0:
+            probs[inst.label_matrix[:, 0] != 0] = 0.0
+            probs /= probs.sum()
+        path = tmp_path / f"component{c}.csv"
+        pl.save_instance(path, inst, pl.Prior(probs))
+        paths.append(str(path))
+    return ",".join(paths)
+
+
+_RUN = ("--seeds", "4", "--with-passive")
+# name -> (component files spec, or None for the grid task; flags)
+MIXTURE_RUNS = {
+    "grid-al": (None, ("--pool", "8", "--components", "3", "--budget", "5", "--seeds", "3")),
+    "grid-passive-entropy": (
+        None, ("--pool", "8", "--components", "3", "--budget", "5", "--criterion", "max_entropy", *_RUN)),
+    "binary-max_gibbs": ((5, 12, 2, 3, 11), ("--budget", "3", *_RUN)),
+    # on binary labels the four criteria rank examples alike; on three labels
+    # these two instances separate each pair that ranks alike on the other
+    **{
+        f"ternary-{c}": ((5, 40, 3, 2, seed), ("--budget", "3", "--criterion", c, *_RUN))
+        for c, seed in (("max_gibbs", 17), ("least_confidence", 17), ("max_entropy", 16), ("gbs", 16))
+    },
+    "binary-dying": ((5, 16, 2, 3, 14, True), ("--budget", "4", "--seeds", "6", "--with-passive")),
+}
+# sha256 of each run's stdout, written by the code before mixture runs moved into mixture.py
+MIXTURE_DIGESTS = {
+    "grid-al": "185d21ea89526f7fc2c2534b604267184ab47e9e4c058087e233ec619b780f9b",
+    "grid-passive-entropy": "e923b5013dede414aadf601b15395a76fd709355d9b0e7865ef8cf4ccff6d935",
+    "binary-max_gibbs": "d0ac158371e55eff1f7ae2a3fc683fd43e519cf61ff5e7e56e0096915a439aff",
+    "ternary-max_gibbs": "5b8c31f09cb50b44a16c25a228c89e9a612456998476d5e27a9e1532d6e1a2b1",
+    "ternary-least_confidence": "e13d76b5e67878a27f1cc434699d79e2478db7d90c70a7db9e7f86df9c4c66de",
+    "ternary-max_entropy": "8ddaf344607f801d840c41c6f7ed46fed3d3b71c6464b3dfd324914f8a8626ae",
+    "ternary-gbs": "927699bc68826a3be68434b8bf12d7b27365f751baf88752b52d732c5df3eacc",
+    "binary-dying": "0ef3ac5096e542218cb27e66d42fa8955792e251036777abfe29917316e2b871",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURE_RUNS))
+def test_mixture_demo_golden_digest(capsys, tmp_path, name):
+    files, flags = MIXTURE_RUNS[name]
+    argv = ["mixture-demo", *flags]
+    if files is not None:
+        argv += ["--component-files", _component_files(tmp_path, *files)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == MIXTURE_DIGESTS[name]
+    if name == "binary-dying":  # some component dies: its weight reaches exactly 0
+        weights = [row.split(",")[5] for row in out.splitlines()[2:] if row[0].isdigit()]
+        assert any("0.0" in w.split("|") for w in weights)
 
 
 class TestGenInstance:

@@ -13,6 +13,7 @@ from poolal.mixture import (
     mixture_observe,
     mixture_predict,
     mixture_step,
+    mixture_trajectories,
     run_mixture,
     sample_truth,
     step_predictor_ensemble,
@@ -57,6 +58,23 @@ class TestMarginals:
         marg = mixture_marginals(state)
         np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_marginals_are_shared_read_only_and_equal_a_fresh_sum(self, random_cases):
+        rng = np.random.default_rng(61)
+        for inst, p in random_cases(20, seed=60, n_labels=3):
+            comps = [p, pl.random_prior(inst, rng), pl.uniform_prior(inst)]
+            state = initial_state(inst, comps, weights=[0.5, 0.0, 0.5])
+            state = mixture_observe(state, inst.examples[0], inst.labels[inst.label_matrix[0, 0]])
+            marg = mixture_marginals(state)
+            assert mixture_marginals(state) is marg
+            assert not marg.flags.writeable
+            with pytest.raises(ValueError):
+                marg[0, 0] = 0.0
+            fresh = np.zeros((inst.n_examples, inst.n_labels))
+            for w, comp in state.components:
+                if w != 0.0:
+                    fresh += w * pl.label_marginals(comp, inst)
+            np.testing.assert_array_equal(marg, fresh)
+
 
 class TestObserve:
     def test_weight_update_hand_computed(self, square, two_priors):
@@ -65,6 +83,19 @@ class TestObserve:
         np.testing.assert_allclose(state.weights, [6 / 11, 5 / 11], atol=1e-12)
         assert state.step == 1
         assert state.transcript.pairs == (("x0", "0"),)
+
+    def test_prior_chain_equals_core_posterior_exactly(self, random_cases):
+        rng = np.random.default_rng(62)
+        for inst, p in random_cases(20, seed=63, n_labels=3):
+            q = pl.random_prior(inst, rng)
+            truth = inst.hypotheses[int(rng.integers(inst.n_hypotheses))]
+            state = initial_state(inst, [p, q])
+            for x in inst.examples[:3]:
+                pair = [(x, truth.label_of(x))]
+                state = mixture_observe(state, *pair[0])
+                p, q = pl.posterior(p, inst, pair), pl.posterior(q, inst, pair)
+                assert state.posteriors[0].probs.tolist() == p.probs.tolist()
+                assert state.posteriors[1].probs.tolist() == q.probs.tolist()
 
     def test_posteriors_updated_individually(self, square, two_priors):
         c0, c1 = two_priors
@@ -161,6 +192,21 @@ class TestProbabilisticComponents:
         updated = state.posteriors[0]
         np.testing.assert_allclose(updated.weights, [0.9 / 1.1, 0.2 / 1.1], atol=1e-12)
 
+    def test_update_chain_equals_the_member_reweighting_formula(self):
+        inst = pl.random_instance(5, 20, 3, rng=3)
+        rng = np.random.default_rng(4)
+        table = rng.dirichlet(np.ones(3), size=(4, 5))
+        ens = pl.ModelEnsemble(inst, rng.dirichlet(np.ones(4)), table)
+        truth = inst.hypotheses[7]
+        state = initial_state(inst, [ens, pl.random_prior(inst, rng)])
+        weights = ens.weights
+        for x in ("x3", "x0", "x4", "x1"):
+            state = mixture_observe(state, x, truth.label_of(x))
+            # the update before it moved into mixture_observe, kept here as the reference
+            new_w = weights * table[:, inst.example_index[x], inst.label_index[truth.label_of(x)]]
+            weights = new_w / float(new_w.sum())
+            assert state.posteriors[0].weights.tolist() == weights.tolist()
+
     def test_single_member_marginals_are_static(self, square):
         # one probabilistic predictor: observations reweight nothing
         ens = step_predictor_ensemble(square, offset=0.5)
@@ -210,6 +256,37 @@ class TestRunMixture:
                 for w, comp in state.components:
                     if w > 0:
                         assert float(comp.probs.sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestTrajectories:
+    def test_rows_follow_mixture_step_and_the_passive_order(self):
+        inst, comps = grid_task(6, 2)
+        rows, means = mixture_trajectories(inst, comps, 3, 2, with_passive=True, seed=5)
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (s, m, k) for s in range(2) for m in ("al", "passive") for k in (1, 2, 3)
+        ]
+        for s in range(2):
+            rng = np.random.default_rng([5, s])
+            truth = sample_truth(inst, comps, rng)
+            order = rng.permutation(inst.n_examples)
+            state = run_mixture(inst, comps, None, "max_gibbs", 3, truth.label_of)
+            al = [r for r in rows if r[:2] == (s, "al")]
+            passive = [r for r in rows if r[:2] == (s, "passive")]
+            assert [(r[3], r[4]) for r in al] == list(state.transcript.pairs)
+            assert al[-1][5].tolist() == state.weights.tolist()
+            assert [r[3] for r in passive] == [inst.examples[i] for i in order[:3]]
+        assert set(means) == {"al", "passive"}
+
+    @pytest.mark.parametrize("budget", [0, -1, 7])
+    def test_budget_outside_the_pool_rejected(self, budget):
+        inst, comps = grid_task(6, 2)
+        with pytest.raises(ValueError, match="pool size 6"):
+            mixture_trajectories(inst, comps, budget, 1)
+
+    def test_no_seeds_rejected(self):
+        inst, comps = grid_task(6, 2)
+        with pytest.raises(ValueError, match="seed"):
+            mixture_trajectories(inst, comps, 2, 0)
 
 
 class TestFlattenedEquivalence:

@@ -23,6 +23,23 @@ from poolal.policies import (
 )
 
 
+class TestDefaultLoss:
+    @pytest.mark.parametrize("criterion, builds", [("worst_gen_gibbs", 1), ("max_gibbs", 0)])
+    def test_default_loss_built_once_per_call(self, monkeypatch, criterion, builds):
+        inst = pl.random_instance(6, 40, 2, rng=8)
+        p = pl.random_prior(inst, 9)
+        calls = []
+        real = pl.policies.zero_one_loss
+        monkeypatch.setattr(pl.policies, "zero_one_loss", lambda i: calls.append(1) or real(i))
+        tree = build_policy(criterion, p, inst, 3)
+        assert len(calls) == builds
+        greedy_transcript(criterion, p, inst, 3, inst.hypotheses[0])
+        assert len(calls) == 2 * builds
+        monkeypatch.undo()
+        explicit = real(inst) if builds else None
+        assert policy_to_text(tree) == policy_to_text(build_policy(criterion, p, inst, 3, loss=explicit))
+
+
 class TestSelect:
     def test_max_gibbs_prefers_even_split(self, square):
         # Gibbs error 0.48 at x0 vs 0.42 at x1
