@@ -116,7 +116,13 @@ def _write_output(out: str | None, text: str) -> None:
     if env_dir and not path.is_absolute():
         path = Path(env_dir) / path
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _instance_from_opts(opts) -> tuple:
@@ -173,11 +179,11 @@ def cmd_run(opts) -> int:
     # hypotheses sharing a leaf share its path and its agreement set V
     rows = [""] * inst.n_hypotheses
     for V, _ in _leaves(tree):
-        queried, labels, cost = run_policy(tree, inst.hypotheses[V[0]])
+        queried, labels, cost = run_policy(tree, inst.hypothesis(V[0]))
         value = _fmt(set_utility(u, prior, inst, V))
         tail = f"{'|'.join(queried)},{'|'.join(labels)},{value},{cost}"
         for hi in V.tolist():
-            rows[hi] = f"{inst.hypotheses[hi].id},{tail}"
+            rows[hi] = f"{inst.ids[hi]},{tail}"
     lines = [RUN_SCHEMA, "hypothesis,queried,labels,utility,cost", *rows]
     _write_output(opts.out, "\n".join(lines) + "\n")
     return 0
@@ -390,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process; parsing leaves it unchanged
+
+
 _DEFAULTS = {
     "run": dict(
         instance=None, synthetic=None, seed=0, criterion="max_gibbs",
@@ -422,8 +431,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         opts = _resolve(args, _DEFAULTS[args.command])
     except (OSError, ValueError) as exc:

@@ -10,7 +10,7 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -81,8 +81,10 @@ class Hypothesis:
 class Instance:
     """A pool, its label set, and an explicit hypothesis list.
 
-    Hypotheses keep their declaration order; every probability vector in
-    this package is index-parallel to ``hypotheses``.  Zero-probability
+    Hypothesis ``i`` is stored once: its id ``ids[i]`` and its label
+    indices ``label_matrix[i]``; :class:`Hypothesis` objects are built on
+    demand.  Hypotheses keep their declaration order; every probability
+    vector in this package is index-parallel to ``ids``.  Zero-probability
     hypotheses stay in the list: worst-case objectives and the
     pruning-count utility are sensitive to them.
     """
@@ -93,6 +95,31 @@ class Instance:
         labels: Sequence[str],
         hypotheses: Sequence[Hypothesis],
     ):
+        self._set_pool(examples, labels, len(hypotheses))
+        rows = np.empty((len(hypotheses), self.n_examples), dtype=np.int16)
+        for i, h in enumerate(hypotheses):
+            if h.examples != self.examples:
+                h = Hypothesis.from_mapping(h.id, h.labeling, self.examples)
+            try:
+                rows[i] = [self.label_index[y] for y in h.labels]
+            except KeyError as exc:
+                raise ValueError(
+                    f"hypothesis {h.id!r} uses unknown label {exc.args[0]!r}"
+                ) from None
+        self._set_rows(tuple(h.id for h in hypotheses), rows)
+
+    @classmethod
+    def _from_codes(cls, examples, labels, codes: np.ndarray, ids=None) -> "Instance":
+        """Labeling ``i`` is the base-|Y| digits of ``codes[i]``, first example lowest."""
+        ids = tuple(f"h{i}" for i in range(len(codes))) if ids is None else tuple(ids)
+        inst = cls.__new__(cls)
+        inst._set_pool(examples, labels, len(ids))
+        n_y = inst.n_labels
+        digits = codes[:, None] // n_y ** np.arange(inst.n_examples) % n_y
+        inst._set_rows(ids, digits.astype(np.int16))
+        return inst
+
+    def _set_pool(self, examples: Sequence[str], labels: Sequence[str], n_hypotheses: int) -> None:
         self.examples = tuple(str(x) for x in examples)
         self.labels = tuple(str(y) for y in labels)
         if len(self.examples) < 1:
@@ -103,43 +130,30 @@ class Instance:
             raise ValueError("an instance needs at least two labels")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate label identifiers")
-        if len(hypotheses) < 1:
+        if n_hypotheses < 1:
             raise ValueError("an instance needs at least one hypothesis")
-
         self.example_index = {x: i for i, x in enumerate(self.examples)}
         self.label_index = {y: j for j, y in enumerate(self.labels)}
 
-        aligned: list[Hypothesis] = []
-        rows = np.empty((len(hypotheses), len(self.examples)), dtype=np.int16)
-        seen_rows: dict[tuple[int, ...], str] = {}
-        seen_ids: set[str] = set()
-        for i, h in enumerate(hypotheses):
-            if h.id in seen_ids:
-                raise ValueError(f"duplicate hypothesis id {h.id!r}")
-            seen_ids.add(h.id)
-            if h.examples != self.examples:
-                h = Hypothesis.from_mapping(h.id, h.labeling, self.examples)
-            try:
-                row = tuple(self.label_index[y] for y in h.labels)
-            except KeyError as exc:
-                raise ValueError(
-                    f"hypothesis {h.id!r} uses unknown label {exc.args[0]!r}"
-                ) from None
-            if row in seen_rows:
-                raise ValueError(
-                    f"hypotheses {seen_rows[row]!r} and {h.id!r} are the same labeling"
-                )
-            seen_rows[row] = h.id
-            rows[i] = row
-            aligned.append(h)
-
-        self.hypotheses = tuple(aligned)
+    def _set_rows(self, ids: tuple[str, ...], rows: np.ndarray) -> None:
+        if len(set(ids)) != len(ids):
+            first: dict = {}
+            dup = next(hid for k, hid in enumerate(ids) if first.setdefault(hid, k) != k)
+            raise ValueError(f"duplicate hypothesis id {dup!r}")
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first_at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if first_at.size != len(ids):
+            # the earliest row repeating an earlier one, and that earlier row
+            origin = first_at[inverse]
+            k = int(np.flatnonzero(origin != np.arange(len(ids)))[0])
+            raise ValueError(
+                f"hypotheses {ids[origin[k]]!r} and {ids[k]!r} are the same labeling"
+            )
         rows.setflags(write=False)
+        self.ids = ids
         self.label_matrix = rows
-        self._row_index = {r: i for i, r in enumerate(seen_rows)}
-        self._onehot: np.ndarray | None = None
 
-    @property
+    @functools.cached_property
     def label_onehot(self) -> np.ndarray:
         """Indicator matrix of shape (n_examples * n_labels, n_hypotheses).
 
@@ -147,14 +161,22 @@ class Instance:
         ``xi`` with label ``yi``; built lazily, it turns per-example
         marginals into a single matrix-vector product.
         """
-        if self._onehot is None:
-            n_h, n_x = self.label_matrix.shape
-            flat = np.arange(n_x) * self.n_labels + self.label_matrix  # (H, X)
-            onehot = np.zeros((n_x * self.n_labels, n_h))
-            onehot[flat.ravel(), np.repeat(np.arange(n_h), n_x)] = 1.0
-            onehot.setflags(write=False)
-            self._onehot = onehot
-        return self._onehot
+        n_h, n_x = self.label_matrix.shape
+        flat = np.arange(n_x) * self.n_labels + self.label_matrix  # (H, X)
+        onehot = np.zeros((n_x * self.n_labels, n_h))
+        onehot[flat.ravel(), np.repeat(np.arange(n_h), n_x)] = 1.0
+        onehot.setflags(write=False)
+        return onehot
+
+    @functools.cached_property
+    def hypotheses(self) -> tuple[Hypothesis, ...]:
+        """Every labeling as a :class:`Hypothesis`, built on first use."""
+        return tuple(self.hypothesis(i) for i in range(self.n_hypotheses))
+
+    def hypothesis(self, i: int) -> Hypothesis:
+        """Labeling ``i`` as a :class:`Hypothesis`."""
+        labels = tuple(self.labels[y] for y in self.label_matrix[i].tolist())
+        return Hypothesis(self.ids[i], self.examples, labels)
 
     @property
     def n_examples(self) -> int:
@@ -166,17 +188,18 @@ class Instance:
 
     @property
     def n_hypotheses(self) -> int:
-        return len(self.hypotheses)
+        return len(self.ids)
 
     def hypothesis_index(self, h: Hypothesis) -> int:
         """Index of ``h`` in this instance, matched by labeling."""
         if h.examples != self.examples:
             h = Hypothesis.from_mapping(h.id, h.labeling, self.examples)
-        try:
-            row = tuple(self.label_index[y] for y in h.labels)
-            return self._row_index[row]
-        except KeyError:
-            raise ValueError(f"hypothesis {h.id!r} is not part of this instance") from None
+        row = np.array([self.label_index.get(y, -1) for y in h.labels], dtype=np.int16)
+        keys = self.label_matrix.view(np.dtype((np.void, row.nbytes))).ravel()
+        match = np.flatnonzero(keys == row.view(keys.dtype))
+        if match.size == 0:
+            raise ValueError(f"hypothesis {h.id!r} is not part of this instance")
+        return int(match[0])
 
     def __repr__(self) -> str:
         return (
@@ -191,16 +214,10 @@ def full_hypothesis_space(
     ids: Sequence[str] | None = None,
 ) -> Instance:
     """All |Y|^|X| labelings of the pool, first example varying fastest."""
-    examples = tuple(examples)
-    labels = tuple(labels)
     total = len(labels) ** len(examples)
     if ids is not None and len(ids) != total:
         raise ValueError(f"need {total} ids, got {len(ids)}")
-    hyps = []
-    for i, combo in enumerate(itertools.product(labels, repeat=len(examples))):
-        hid = ids[i] if ids is not None else f"h{i}"
-        hyps.append(Hypothesis(hid, examples, combo[::-1]))
-    return Instance(examples, labels, hyps)
+    return Instance._from_codes(examples, labels, np.arange(total), ids)
 
 
 def random_instance(
@@ -212,20 +229,13 @@ def random_instance(
     """Hypotheses drawn uniformly without replacement from the full labeling space."""
     rng = np.random.default_rng(rng)
     total = n_labels**n_examples
+    if total >= 2**63:  # numpy draws the labeling codes as int64
+        raise ValueError(f"the labeling space {n_labels}**{n_examples} must be smaller than 2**63")
     if not 1 <= n_hypotheses <= total:
         raise ValueError(f"n_hypotheses must be in [1, {total}]")
-    examples = tuple(f"x{i}" for i in range(n_examples))
-    labels = tuple(str(j) for j in range(n_labels))
     codes = rng.choice(total, size=n_hypotheses, replace=False)
-    hyps = []
-    for k, code in enumerate(codes):
-        row = []
-        c = int(code)
-        for _ in range(n_examples):
-            row.append(labels[c % n_labels])
-            c //= n_labels
-        hyps.append(Hypothesis(f"h{k}", examples, tuple(row)))
-    return Instance(examples, labels, hyps)
+    examples = [f"x{i}" for i in range(n_examples)]
+    return Instance._from_codes(examples, range(n_labels), codes)  # labels "0", "1", ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,15 +518,15 @@ def perturb(p: Prior, eps: float, seed: int) -> Prior:
 def instance_text(inst: Instance, prior: Prior) -> str:
     """The comma-separated instance file (pool, labels, weighted labelings)."""
     _check_prior(prior, inst)
-    for token in (*inst.examples, *inst.labels, *(h.id for h in inst.hypotheses)):
+    for token in (*inst.examples, *inst.labels, *inst.ids):
         if "," in token:
             raise ValueError(f"identifier {token!r} may not contain a comma")
     lines = [
         "examples," + ",".join(inst.examples),
         "labels," + ",".join(inst.labels),
     ]
-    for h, prob in zip(inst.hypotheses, prior.probs):
-        lines.append(f"h,{h.id},{float(prob)!r}," + ",".join(h.labels))
+    for hid, row, prob in zip(inst.ids, inst.label_matrix.tolist(), prior.probs):
+        lines.append(f"h,{hid},{float(prob)!r}," + ",".join(inst.labels[y] for y in row))
     return "\n".join(lines) + "\n"
 
 

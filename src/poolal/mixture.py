@@ -350,7 +350,7 @@ def sample_truth(
     w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, float)
     ci = int(rng.choice(k, p=w))
     hi = int(rng.choice(inst.n_hypotheses, p=components[ci].probs))
-    return inst.hypotheses[hi]
+    return inst.hypothesis(hi)
 
 
 def mixture_trajectories(

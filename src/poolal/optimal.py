@@ -40,7 +40,7 @@ class IdentificationError(ValueError):
 
 
 def _no_separator(inst: Instance, V: tuple[int, ...]) -> IdentificationError:
-    a, b = (inst.hypotheses[hi].id for hi in V[:2])
+    a, b = (inst.ids[hi] for hi in V[:2])
     return IdentificationError(f"no example separates {a!r} from {b!r}")
 
 
@@ -135,8 +135,8 @@ def c_avg(p: Prior, tree: PolicyTree) -> float:
             pair = (int(shared[0]), int(shared[1]))
     if pair is not None:
         raise IdentificationError(
-            f"policy does not separate {inst.hypotheses[pair[0]].id!r} from "
-            f"{inst.hypotheses[pair[1]].id!r}"
+            f"policy does not separate {inst.ids[pair[0]]!r} from "
+            f"{inst.ids[pair[1]]!r}"
         )
     costs = depth.tolist()
     total = 0.0

@@ -94,11 +94,38 @@ def _require_lipschitz(u: Utility) -> tuple[float, float]:
     return L, M
 
 
-def _build(algorithm, p: Prior, inst: Instance, budget: int, u: Utility) -> tuple[PolicyTree, str]:
+def _build(
+    algorithm,
+    p: Prior,
+    inst: Instance,
+    budget: int,
+    u: Utility | None = None,
+    stop_when_identified: bool = False,
+) -> tuple[PolicyTree, str]:
     if callable(algorithm):
         return algorithm(p), getattr(algorithm, "__name__", "custom")
     loss = u.loss if isinstance(u, GeneralizedReduction) else None
-    return build_policy(algorithm, p, inst, budget, loss=loss), algorithm
+    tree = build_policy(algorithm, p, inst, budget, loss, stop_when_identified)
+    return tree, algorithm
+
+
+def _coverage_report(
+    bound: str,
+    lhs: float,
+    p0: Prior,
+    p1: Prior,
+    name: str,
+    alpha: float,
+    constants: dict,
+    opt: OptResult,
+    **extra,
+) -> BoundReport:
+    """``lhs`` against alpha * opt - (alpha + 1) * C * l1(p0, p1), C the sum of ``constants``."""
+    C = sum(constants.values())
+    dist = l1_distance(p0, p1)
+    rhs = alpha * opt.value - (alpha + 1.0) * C * dist
+    params = {"algorithm": name, "alpha": alpha, **constants, "l1": dist, "opt": opt.value, **extra}
+    return BoundReport.at_least(bound, lhs, rhs, params)
 
 
 def check_avg_bound(
@@ -123,18 +150,9 @@ def check_avg_bound(
     lhs = f_avg(p0, u, tree)
     if opt is None:
         opt = opt_avg(p0, u, inst, budget)
-    dist = l1_distance(p0, p1)
-    rhs = alpha * opt.value - (alpha + 1.0) * (L + M) * dist
-    params = {
-        "algorithm": name,
-        "alpha": alpha,
-        "L": L,
-        "M": M,
-        "l1": dist,
-        "opt": opt.value,
-        "budget": budget,
-    }
-    return BoundReport.at_least("avg_coverage", lhs, rhs, params)
+    return _coverage_report(
+        "avg_coverage", lhs, p0, p1, name, alpha, {"L": L, "M": M}, opt, budget=budget
+    )
 
 
 def check_worst_bound(
@@ -153,17 +171,7 @@ def check_worst_bound(
     lhs = f_worst(p0, u, tree)
     if opt is None:
         opt = opt_worst(p0, u, inst, budget)
-    dist = l1_distance(p0, p1)
-    rhs = alpha * opt.value - (alpha + 1.0) * L * dist
-    params = {
-        "algorithm": name,
-        "alpha": alpha,
-        "L": L,
-        "l1": dist,
-        "opt": opt.value,
-        "budget": budget,
-    }
-    return BoundReport.at_least("worst_coverage", lhs, rhs, params)
+    return _coverage_report("worst_coverage", lhs, p0, p1, name, alpha, {"L": L}, opt, budget=budget)
 
 
 def check_batch_avg_bound(
@@ -181,28 +189,9 @@ def check_batch_avg_bound(
     lhs = f_avg(p0, u, tree)
     if opt is None:
         opt = opt_avg_batch(p0, u, inst, n_rounds, batch_size)
-    dist = l1_distance(p0, p1)
-    alpha = ALPHA_BATCH
-    rhs = alpha * opt.value - (alpha + 1.0) * (L + M) * dist
-    params = {
-        "algorithm": "batch_max_gibbs",
-        "alpha": alpha,
-        "L": L,
-        "M": M,
-        "l1": dist,
-        "opt": opt.value,
-        "n_rounds": n_rounds,
-        "batch_size": batch_size,
-    }
-    return BoundReport.at_least("avg_coverage_batch", lhs, rhs, params)
-
-
-def _identification_tree(algorithm, p: Prior, inst: Instance) -> tuple[PolicyTree, str]:
-    if callable(algorithm):
-        return algorithm(p), getattr(algorithm, "__name__", "custom")
-    return (
-        build_policy(algorithm, p, inst, inst.n_examples, stop_when_identified=True),
-        algorithm,
+    return _coverage_report(
+        "avg_coverage_batch", lhs, p0, p1, "batch_max_gibbs", ALPHA_BATCH, {"L": L, "M": M},
+        opt, n_rounds=n_rounds, batch_size=batch_size,
     )
 
 
@@ -226,13 +215,13 @@ def check_mincost_bound(
     p0_support = set(int(i) for i in p0.support)
     p1_support = set(int(i) for i in p1.support)
     if not p0_support <= p1_support:
-        missing = inst.hypotheses[sorted(p0_support - p1_support)[0]].id
+        missing = inst.ids[sorted(p0_support - p1_support)[0]]
         raise ValueError(
             f"perturbed prior gives zero mass to {missing!r}, which the true prior "
             "can draw; identification on such truths never terminates, so the "
             "cost bound requires support(p0) within support(p1)"
         )
-    tree, name = _identification_tree(algorithm, p1, inst)
+    tree, name = _build(algorithm, p1, inst, inst.n_examples, stop_when_identified=True)
     lhs = c_avg(p0, tree)
     if opt is None:
         opt = opt_min_cost(p0, inst)
@@ -275,7 +264,7 @@ def check_mixture_bounds(
     mix = np.mean([c.probs for c in components], axis=0)
     p1 = Prior(mix)
 
-    tree, name = _identification_tree(algorithm, p1, inst)
+    tree, name = _build(algorithm, p1, inst, inst.n_examples, stop_when_identified=True)
     lhs = c_avg(p0, tree)
     alpha = gbs_alpha(p1) if alpha_of_p1 is None else float(alpha_of_p1)
     opt_mix = opt_min_cost(p1, inst)
@@ -294,23 +283,15 @@ def check_mixture_bounds(
         "l1": l1_distance(p0, p1),
     }
 
-    rhs_mix = k * alpha * opt_mix.value
-    params_mix = dict(base, opt=opt_mix.value)
-    if name == "gbs":
-        spec_rhs = k * alpha_spec * opt_mix.value
-        params_mix["specialized_rhs"] = spec_rhs
-        params_mix["specialized_holds"] = (spec_rhs - lhs) >= -SLACK_TOL
-    report_mix = BoundReport.at_most("mixture_vs_mixture_opt", lhs, rhs_mix, params_mix)
+    def ceiling(bound: str, scale: float, opt: OptResult) -> BoundReport:
+        params = dict(base, opt=opt.value)
+        if name == "gbs":
+            spec_rhs = alpha_spec * scale * opt.value
+            params["specialized_rhs"] = spec_rhs
+            params["specialized_holds"] = (spec_rhs - lhs) >= -SLACK_TOL
+        return BoundReport.at_most(bound, lhs, alpha * scale * opt.value, params)
 
-    rhs_true = alpha * blowup * opt_true.value
-    params_true = dict(base, opt=opt_true.value)
-    if name == "gbs":
-        spec_rhs = alpha_spec * blowup * opt_true.value
-        params_true["specialized_rhs"] = spec_rhs
-        params_true["specialized_holds"] = (spec_rhs - lhs) >= -SLACK_TOL
-    report_true = BoundReport.at_most("mixture_vs_true_opt", lhs, rhs_true, params_true)
-
-    return report_mix, report_true
+    return ceiling("mixture_vs_mixture_opt", k, opt_mix), ceiling("mixture_vs_true_opt", blowup, opt_true)
 
 
 def counterexample_instance(

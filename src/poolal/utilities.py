@@ -238,7 +238,7 @@ def lipschitz_probe(
             inst.examples[i]
             for i in rng.choice(inst.n_examples, size=size, replace=False)
         )
-        h = inst.hypotheses[int(rng.integers(inst.n_hypotheses))]
+        h = inst.hypothesis(int(rng.integers(inst.n_hypotheses)))
         diff = abs(eval_utility(u, p, inst, S, h) - eval_utility(u, q, inst, S, h))
         worst = max(worst, diff / dist)
     return worst

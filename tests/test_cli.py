@@ -1,9 +1,11 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 import poolal as pl
+from poolal import cli
 from poolal.cli import main
 
 
@@ -332,6 +334,19 @@ class TestGenInstance:
         _, second, _ = run_cli(capsys, *args)
         assert first == second and first.startswith("examples,x0,x1,x2\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-instance", "--examples", "63", "--hypotheses", "5"),
+            ("run", "--synthetic", "63,5,2", "--budget", "1"),
+        ],
+    )
+    def test_undrawable_labeling_space_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the labeling space 2**63 must be smaller than 2**63\n"
+
 
 class TestConfigAndEnv:
     def test_config_file_supplies_defaults_flags_win(self, capsys, tmp_path, square_file):
@@ -352,3 +367,30 @@ class TestConfigAndEnv:
         )
         assert code == 0
         assert (tmp_path / "outputs" / "result.csv").exists()
+
+    def test_interrupted_write_keeps_the_old_file(self, capsys, tmp_path, square_file, monkeypatch):
+        target = tmp_path / "result.csv"
+        args = ("run", "--instance", square_file, "--budget", "2", "--out", str(target))
+        assert run_cli(capsys, *args)[0] == 0
+        assert target.read_bytes().startswith(b"# schema: poolal-run-v1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.csv", "square.csv"]
+
+        target.write_bytes(b"old bytes\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(list(args))
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.csv", "square.csv"]
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run_cli(capsys, "gen-instance", "--examples", "2", "--hypotheses", "3")
+    assert code == 0 and out.startswith("examples,x0,x1\n")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import poolal as pl
 from poolal.core import EmptyVersionSpaceError, InstanceFormatError
+from poolal.mixture import grid_task
 
 
 def test_instance_rejects_duplicate_labelings():
@@ -326,3 +329,116 @@ def test_normalized_prior_from_weights(weights):
     arr = np.array(weights)
     p = pl.Prior(arr / arr.sum())
     assert float(p.probs.sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_full_space(examples, labels, ids=None):
+    """One Hypothesis per labeling, first example varying fastest."""
+    return [
+        pl.Hypothesis(f"h{i}" if ids is None else ids[i], tuple(examples), combo[::-1])
+        for i, combo in enumerate(itertools.product(labels, repeat=len(examples)))
+    ]
+
+
+def reference_random(n_examples, n_hypotheses, n_labels, seed):
+    """The same draw as random_instance, decoded one labeling at a time."""
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(n_labels**n_examples, size=n_hypotheses, replace=False)
+    examples = tuple(f"x{i}" for i in range(n_examples))
+    hyps = []
+    for k, code in enumerate(codes):
+        row, c = [], int(code)
+        for _ in range(n_examples):
+            row.append(str(c % n_labels))
+            c //= n_labels
+        hyps.append(pl.Hypothesis(f"h{k}", examples, tuple(row)))
+    return hyps
+
+
+def assert_matches_reference(inst, hyps):
+    assert inst.ids == tuple(h.id for h in hyps)
+    assert inst.hypotheses == tuple(hyps)
+    assert inst.label_matrix.dtype == np.int16
+    expected = [[inst.labels.index(y) for y in h.labels] for h in hyps]
+    np.testing.assert_array_equal(inst.label_matrix, np.array(expected).reshape(len(hyps), -1))
+    again = pl.Instance(inst.examples, inst.labels, inst.hypotheses)
+    np.testing.assert_array_equal(again.label_matrix, inst.label_matrix)
+    assert again.ids == inst.ids
+
+
+class TestMatrixInstance:
+    @pytest.mark.parametrize(
+        "n_x, n_h, n_y, seed",
+        [(1, 2, 2, 0), (3, 5, 3, 1), (4, 16, 2, 2), (6, 40, 3, 3), (12, 300, 2, 4)],
+    )
+    def test_random_instance_matches_reference(self, n_x, n_h, n_y, seed):
+        inst = pl.random_instance(n_x, n_h, n_y, rng=seed)
+        assert_matches_reference(inst, reference_random(n_x, n_h, n_y, seed))
+
+    @pytest.mark.parametrize("n_x, labels", [(1, ("0", "1")), (3, ("a", "b", "c")), (5, ("0", "1"))])
+    @pytest.mark.parametrize("named", [False, True])
+    def test_full_space_matches_reference(self, n_x, labels, named):
+        examples = tuple(f"e{i}" for i in range(n_x))
+        ids = [f"id{i}" for i in range(len(labels) ** n_x)] if named else None
+        inst = pl.full_hypothesis_space(examples, labels, ids=ids)
+        assert_matches_reference(inst, reference_full_space(examples, labels, ids))
+
+    def test_hypotheses_built_on_first_use(self, square):
+        assert "hypotheses" not in vars(square)
+        assert square.hypothesis(2) == pl.Hypothesis("h3", ("x0", "x1"), ("0", "1"))
+        assert square.hypotheses is square.hypotheses
+
+    def test_duplicate_id_names_the_first_repeat(self):
+        ex = ("x0", "x1")
+        labelings = [("0", "0"), ("1", "0"), ("0", "1"), ("1", "1")]
+        hyps = [pl.Hypothesis(i, ex, ls) for i, ls in zip("abba", labelings)]
+        with pytest.raises(ValueError, match=r"^duplicate hypothesis id 'b'$"):
+            pl.Instance(ex, ("0", "1"), hyps)
+
+    def test_duplicate_labeling_names_the_original(self):
+        ex = ("x0", "x1")
+        labelings = [("0", "0"), ("1", "0"), ("0", "1"), ("1", "0"), ("0", "0")]
+        hyps = [pl.Hypothesis(i, ex, ls) for i, ls in zip("abcde", labelings)]
+        with pytest.raises(ValueError, match=r"^hypotheses 'b' and 'd' are the same labeling$"):
+            pl.Instance(ex, ("0", "1"), hyps)
+
+    def test_unknown_label(self):
+        ex = ("x0", "x1")
+        hyps = [pl.Hypothesis("a", ex, ("0", "1")), pl.Hypothesis("b", ex, ("1", "2"))]
+        with pytest.raises(ValueError, match=r"^hypothesis 'b' uses unknown label '2'$"):
+            pl.Instance(ex, ("0", "1"), hyps)
+
+    def test_hypothesis_index(self, square, chain):
+        reordered = pl.Hypothesis("q", ("x1", "x0"), ("1", "0"))  # x0 = 0, x1 = 1
+        assert square.hypothesis_index(reordered) == 2
+        with pytest.raises(ValueError, match=r"^hypothesis 'q' is not part of this instance$"):
+            chain.hypothesis_index(reordered)
+        foreign = pl.Hypothesis("z", ("x0", "x1"), ("0", "2"))
+        with pytest.raises(ValueError, match=r"^hypothesis 'z' is not part of this instance$"):
+            square.hypothesis_index(foreign)
+        inst = pl.random_instance(5, 40, 3, rng=7)
+        assert [inst.hypothesis_index(h) for h in inst.hypotheses] == list(range(40))
+
+    def test_generators_build_no_hypothesis(self, monkeypatch):
+        built = []
+        original = pl.Hypothesis.__post_init__
+
+        def counting(self):
+            built.append(self.id)
+            original(self)
+
+        monkeypatch.setattr(pl.Hypothesis, "__post_init__", counting)
+        inst, _ = grid_task.__wrapped__(16, 4)  # past the per-process cache
+        pl.random_instance(12, 1000, rng=0)
+        pl.full_hypothesis_space(("x0", "x1"), ("0", "1"))
+        assert built == []
+        inst.hypothesis(5)
+        assert built == ["h5"]
+
+    @pytest.mark.parametrize("n_x, n_y", [(63, 2), (40, 3)])
+    def test_random_instance_rejects_undrawable_spaces(self, n_x, n_y):
+        with pytest.raises(ValueError, match=r"must be smaller than 2\*\*63"):
+            pl.random_instance(n_x, 5, n_y, rng=0)
+
+    def test_random_instance_at_the_largest_drawable_space(self):
+        inst = pl.random_instance(62, 5, rng=0)
+        assert_matches_reference(inst, reference_random(62, 5, 2, 0))
