@@ -263,11 +263,8 @@ def _mixture_components(opts):
         loaded = [load_instance(p) for p in paths]
         inst = loaded[0][0]
         for other, _ in loaded[1:]:
-            if (
-                other.examples != inst.examples
-                or other.labels != inst.labels
-                or not np.array_equal(other.label_matrix, inst.label_matrix)
-            ):
+            pool = (other.examples, other.labels) == (inst.examples, inst.labels)
+            if not pool or not np.array_equal(other.label_matrix, inst.label_matrix):
                 raise ValueError("component files must share one instance")
         return inst, tuple(prior for _, prior in loaded)
     return grid_task(opts.pool, opts.components)
@@ -346,16 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_utility_opts(p)
     p.add_argument("--criterion", choices=("max_gibbs", "least_confidence", "max_entropy", "gbs", "worst_gen_gibbs"))
     p.add_argument("--budget", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
 
     p = sub.add_parser("optimal", help="exact optimal policy by exhaustive search")
     _add_instance_opts(p)
     _add_utility_opts(p)
     p.add_argument("--objective", choices=("avg", "worst", "min-cost"))
     p.add_argument("--budget", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
 
     p = sub.add_parser("verify", help="sweep the robustness bounds, one CSV row per report")
     p.add_argument("--trials", type=int)
@@ -364,13 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--counterexample", action="store_true", default=None)
     _add_counterexample_opts(p)
-    p.add_argument("--config")
-    p.add_argument("--out")
 
     p = sub.add_parser("counterexample", help="the non-Lipschitz instance and its values")
     _add_counterexample_opts(p)
-    p.add_argument("--config")
-    p.add_argument("--out")
 
     p = sub.add_parser("mixture-demo", help="mixture-prior active learning vs passive")
     p.add_argument("--seeds", type=int)
@@ -381,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=("max_gibbs", "least_confidence", "max_entropy", "gbs"))
     p.add_argument("--with-passive", dest="with_passive", action="store_true", default=None)
     p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out")
 
     p = sub.add_parser("gen-instance", help="write a seeded synthetic instance file")
     p.add_argument("--examples", type=int)
@@ -390,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--uniform", action="store_true", default=None)
-    p.add_argument("--config")
-    p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.add_argument("--config")
+        p.add_argument("--out")
     return parser
 
 

@@ -96,17 +96,12 @@ class Instance:
         hypotheses: Sequence[Hypothesis],
     ):
         self._set_pool(examples, labels, len(hypotheses))
-        rows = np.empty((len(hypotheses), self.n_examples), dtype=np.int16)
-        for i, h in enumerate(hypotheses):
-            if h.examples != self.examples:
-                h = Hypothesis.from_mapping(h.id, h.labeling, self.examples)
-            try:
-                rows[i] = [self.label_index[y] for y in h.labels]
-            except KeyError as exc:
-                raise ValueError(
-                    f"hypothesis {h.id!r} uses unknown label {exc.args[0]!r}"
-                ) from None
-        self._set_rows(tuple(h.id for h in hypotheses), rows)
+        labelings = [
+            h.labels if h.examples == self.examples
+            else Hypothesis.from_mapping(h.id, h.labeling, self.examples).labels
+            for h in hypotheses
+        ]
+        self._set_labelings(tuple(h.id for h in hypotheses), labelings)
 
     @classmethod
     def _from_codes(cls, examples, labels, codes: np.ndarray, ids=None) -> "Instance":
@@ -134,6 +129,15 @@ class Instance:
             raise ValueError("an instance needs at least one hypothesis")
         self.example_index = {x: i for i, x in enumerate(self.examples)}
         self.label_index = {y: j for j, y in enumerate(self.labels)}
+
+    def _set_labelings(self, ids: tuple[str, ...], labelings: Sequence[Sequence[str]]) -> None:
+        """Store ``labelings[i]``, label names in pool order, as int16 row ``i``."""
+        codes = [self.label_index.get(y, -1) for labeling in labelings for y in labeling]
+        rows = np.array(codes, dtype=np.int16).reshape(len(ids), self.n_examples)
+        if (rows < 0).any():
+            i, j = np.argwhere(rows < 0)[0]
+            raise ValueError(f"hypothesis {ids[i]!r} uses unknown label {labelings[i][j]!r}")
+        self._set_rows(ids, rows)
 
     def _set_rows(self, ids: tuple[str, ...], rows: np.ndarray) -> None:
         if len(set(ids)) != len(ids):
@@ -258,6 +262,14 @@ class Prior:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "Prior":
+        """Wrap ``arr`` unchecked and uncopied: for vectors valid by construction only."""
+        arr.setflags(write=False)
+        prior = object.__new__(cls)
+        object.__setattr__(prior, "probs", arr)
+        return prior
+
     def __len__(self) -> int:
         return int(self.probs.size)
 
@@ -372,7 +384,7 @@ def posterior(p: Prior, inst: Instance, observed: LabeledSet | Iterable[Pair]) -
         raise EmptyVersionSpaceError(
             f"no positive-probability hypothesis is consistent with {pairs}"
         )
-    return Prior(np.where(mask, p.probs, 0.0) / mass)
+    return Prior._trusted(np.where(mask, p.probs, 0.0) / mass)
 
 
 def l1_distance(p: Prior, q: Prior) -> float:
@@ -558,7 +570,8 @@ def load_instance(path) -> tuple[Instance, Prior]:
         raise InstanceFormatError("second line must be 'labels,<id>,<id>,...'", line_no)
     labels = tuple(fields[1:])
 
-    hyps: list[Hypothesis] = []
+    ids: list[str] = []
+    labelings: list[list[str]] = []
     probs: list[float] = []
     for line_no, line in rows[2:]:
         fields = line.split(",")
@@ -577,15 +590,18 @@ def load_instance(path) -> tuple[Instance, Prior]:
         if prob < 0:
             raise InstanceFormatError(f"negative probability {prob!r}", line_no)
         probs.append(prob)
-        hyps.append(Hypothesis(fields[1], examples, tuple(fields[3:])))
+        ids.append(fields[1])
+        labelings.append(fields[3:])
 
     total = sum(probs)
     if abs(total - 1.0) > FILE_NORM_TOL:
         raise InstanceFormatError(
             f"hypothesis probabilities sum to {total!r}, expected 1 within {FILE_NORM_TOL}"
         )
+    inst = Instance.__new__(Instance)
     try:
-        inst = Instance(examples, labels, hyps)
+        inst._set_pool(examples, labels, len(ids))
+        inst._set_labelings(tuple(ids), labelings)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
     return inst, Prior(np.array(probs) / total)

@@ -25,6 +25,7 @@ from .core import (
     ModelEnsemble,
     NORM_TOL,
     Prior,
+    _consistent_mask,
     full_hypothesis_space,
     induce_prior,
     label_marginals,
@@ -125,7 +126,7 @@ def _component_update(
     """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0."""
     if isinstance(comp, Prior):
         # the mask and mass core.posterior would recompute: the same doubles
-        return Prior(np.where(mask, comp.probs, 0.0) / like)
+        return Prior._trusted(np.where(mask, comp.probs, 0.0) / like)
     # members keep their own normalizer: the dot product ``like`` may be an ulp off
     new_w = comp.weights * comp.probs[:, xi, yi]
     total = float(new_w.sum())
@@ -209,16 +210,10 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     zero keep their old posterior at weight zero.
     """
     inst = state.instance
-    if x not in inst.example_index:
-        raise ValueError(f"unknown example {x!r}")
-    if y not in inst.label_index:
-        raise ValueError(f"unknown label {y!r}")
+    mask = _consistent_mask(inst, [(x, y)])  # rejects an unknown example or label
     if x in state.transcript.examples:
         raise ValueError(f"example {x!r} was already queried")
-
-    xi = inst.example_index[x]
-    yi = inst.label_index[y]
-    mask = inst.label_matrix[:, xi] == yi
+    xi, yi = inst.example_index[x], inst.label_index[y]
     likelihoods = np.array([_component_likelihood(c, xi, yi, mask) for c in state.posteriors])
     new_weights = state.weights * likelihoods
     total = float(new_weights.sum())

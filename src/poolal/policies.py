@@ -229,9 +229,8 @@ def _branch_posterior(q: Prior, consistent: np.ndarray, mask_xy: np.ndarray) -> 
     """
     mass = float(q.probs[mask_xy].sum())
     if mass > 0.0:
-        return Prior(np.where(mask_xy, q.probs, 0.0) / mass)
-    fallback = np.where(consistent, 1.0, 0.0)
-    return Prior(fallback / fallback.sum())
+        return Prior._trusted(np.where(mask_xy, q.probs, 0.0) / mass)
+    return Prior._trusted(consistent / np.count_nonzero(consistent))
 
 
 def _grow_rounds(
@@ -257,8 +256,7 @@ def _grow_rounds(
                 return grow(q2, cons2, rest, rounds_left - 1)
             xi = batch[pos]
             children = []
-            for yi in range(inst.n_labels):
-                mask_xy = inst.label_matrix[:, xi] == yi
+            for yi, mask_xy in enumerate(masks[xi]):
                 on_branch = cons2 & mask_xy
                 if not on_branch.any():
                     children.append(None)
@@ -269,6 +267,8 @@ def _grow_rounds(
 
         return within(q, consistent, 0)
 
+    # masks[xi, yi] flags the hypotheses labeling example xi with label yi
+    masks = inst.label_matrix.T[:, None, :] == np.arange(inst.n_labels)[:, None]
     all_consistent = np.ones(inst.n_hypotheses, dtype=bool)
     return PolicyTree(inst, grow(p, all_consistent, tuple(range(inst.n_examples)), n_rounds))
 

@@ -57,18 +57,28 @@ class LossMatrix:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "bound", bound)
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray, bound: float) -> "LossMatrix":
+        """Wrap ``arr`` unchecked and uncopied: for losses valid by construction only."""
+        arr.setflags(write=False)
+        loss = object.__new__(cls)
+        object.__setattr__(loss, "values", arr)
+        object.__setattr__(loss, "bound", bound)
+        return loss
+
 
 def zero_one_loss(inst: Instance) -> LossMatrix:
     """1 whenever two labelings differ anywhere, else 0 (m = 1)."""
-    n = inst.n_hypotheses
-    return LossMatrix(np.ones((n, n)) - np.eye(n), bound=1.0)
+    values = np.ones((inst.n_hypotheses, inst.n_hypotheses))
+    np.fill_diagonal(values, 0.0)
+    return LossMatrix._trusted(values, 1.0)
 
 
 def hamming_loss(inst: Instance) -> LossMatrix:
     """Fraction of the pool on which two labelings disagree (m = 1)."""
     lm = inst.label_matrix
     diff = (lm[:, None, :] != lm[None, :, :]).mean(axis=2)
-    return LossMatrix(diff, bound=1.0)
+    return LossMatrix._trusted(diff, 1.0)
 
 
 def load_loss_matrix(path, inst: Instance | None = None) -> LossMatrix:

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import poolal as pl
+
+# CI runs replay: the same examples every run, and a failure prints the
+# blob that reproduces it (@reproduce_failure).  Local runs keep the default.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poolal as pl
-from poolal.core import EmptyVersionSpaceError, InstanceFormatError
+from poolal.core import EmptyVersionSpaceError, InstanceFormatError, instance_text
 from poolal.mixture import grid_task
 
 
@@ -316,6 +316,46 @@ class TestInstanceFile:
         path.write_text("examples,x0\nlabels,0,1\nh,a,0.6,0\nh,b,0.6,1\n")
         with pytest.raises(InstanceFormatError, match="sum"):
             pl.load_instance(path)
+
+    @pytest.mark.parametrize("n_x, n_h, n_y, seed", [(1, 2, 2, 0), (4, 30, 3, 1), (9, 200, 2, 2)])
+    def test_reload_gives_the_same_text(self, tmp_path, n_x, n_h, n_y, seed):
+        inst = pl.random_instance(n_x, n_h, n_y, rng=seed)
+        p = pl.random_prior(inst, seed)
+        path = tmp_path / "inst.csv"
+        pl.save_instance(path, inst, p)
+        inst2, p2 = pl.load_instance(path)
+        # the loader divides by the file's own total, which may sit an ulp off 1
+        renormalized = pl.Prior(p.probs / sum(p.probs.tolist()))
+        assert instance_text(inst2, p2) == instance_text(inst, renormalized)
+        assert inst2.label_matrix.dtype == np.int16
+        assert not inst2.label_matrix.flags.writeable
+
+    def test_load_builds_no_hypothesis(self, tmp_path, monkeypatch):
+        inst, components = grid_task(8, 2)
+        path = tmp_path / "grid.csv"
+        pl.save_instance(path, inst, components[0])
+        built = []
+        original = pl.Hypothesis.__post_init__
+        monkeypatch.setattr(pl.Hypothesis, "__post_init__", lambda h: built.append(h) or original(h))
+        inst2, _ = pl.load_instance(path)
+        assert built == []
+        np.testing.assert_array_equal(inst2.label_matrix, inst.label_matrix)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("h,a,0.5,0,1\nh,b,0.5,1,2\n", r"^hypothesis 'b' uses unknown label '2'$"),
+            ("h,a,0.5,0,1\nh,a,0.5,1,0\n", r"^duplicate hypothesis id 'a'$"),
+            ("h,a,0.2,0,1\nh,b,0.4,1,1\nh,c,0.4,0,1\n", r"^hypotheses 'a' and 'c' are the same labeling$"),
+            ("h,a,0.5,0,z\nh,a,0.5,0,1\n", r"^hypothesis 'a' uses unknown label 'z'$"),
+        ],
+    )
+    def test_instance_errors_from_a_file(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("examples,x0,x1\nlabels,0,1\n" + body)
+        with pytest.raises(InstanceFormatError, match=message) as info:
+            pl.load_instance(path)
+        assert info.value.line_no is None
 
 
 def test_labeled_set_rejects_repeats():
