@@ -32,8 +32,8 @@ from .utilities import (
     GeneralizedReduction,
     PruningCount,
     VersionSpaceReduction,
+    _set_utility_fn,
     hamming_loss,
-    set_utility,
     zero_one_loss,
 )
 
@@ -178,9 +178,10 @@ def cmd_run(opts) -> int:
 
     # hypotheses sharing a leaf share its path and its agreement set V
     rows = [""] * inst.n_hypotheses
+    utility = _set_utility_fn(u, prior, inst)
     for V, _ in _leaves(tree):
         queried, labels, cost = run_policy(tree, inst.hypothesis(V[0]))
-        value = _fmt(set_utility(u, prior, inst, V))
+        value = _fmt(utility(V))
         tail = f"{'|'.join(queried)},{'|'.join(labels)},{value},{cost}"
         for hi in V.tolist():
             rows[hi] = f"{inst.ids[hi]},{tail}"

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Instance, Prior, _check_prior
-from .policies import PolicyNode, PolicyTree, policy_to_text
-from .utilities import Utility, set_utility
+from .policies import PolicyNode, PolicyTree, _split_index, policy_to_text
+from .utilities import Utility, _set_utility_fn
 
 EXAMPLE_CAP = 6
 HYPOTHESIS_CAP = 16
@@ -72,11 +72,10 @@ def _leaves(tree: PolicyTree):
             yield V, depth
             continue
         try:
-            col = inst.label_matrix[V, inst.example_index[node.example]]
+            xi = inst.example_index[node.example]
         except KeyError:
             raise ValueError(f"unknown example {node.example!r}") from None
-        for yi in range(inst.n_labels):
-            Vy = V[col == yi]
+        for yi, Vy in enumerate(_split_index(inst, V, xi)):
             if Vy.size:
                 stack.append((node.children[yi], Vy, depth + 1))
 
@@ -84,9 +83,10 @@ def _leaves(tree: PolicyTree):
 def _leaf_utilities(p: Prior, u: Utility, tree: PolicyTree) -> list[float]:
     """Each hypothesis's utility at the end of its path: one evaluation per leaf."""
     _check_prior(p, tree.instance)
+    value = _set_utility_fn(u, p, tree.instance)
     vals = np.empty(tree.instance.n_hypotheses)
     for V, _ in _leaves(tree):
-        vals[V] = set_utility(u, p, tree.instance, V)
+        vals[V] = value(V)
     return vals.tolist()
 
 
@@ -192,10 +192,11 @@ def _search_rounds(
     """
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, PolicyNode | None]] = {}
     explored = 0
+    utility = _set_utility_fn(u, p, inst)
 
     def leaf_value(V: tuple[int, ...]) -> float:
         # V is every member's agreement set on the queried examples
-        v = set_utility(u, p, inst, np.array(V))
+        v = utility(np.array(V))
         if worst_case:
             return v
         return sum(float(p.probs[hi]) * v for hi in V)

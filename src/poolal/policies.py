@@ -23,7 +23,7 @@ from .core import (
     label_marginals,
     posterior,
 )
-from .utilities import LossMatrix, zero_one_loss
+from .utilities import LossMatrix, _check_loss, zero_one_loss
 
 CRITERIA = ("max_gibbs", "least_confidence", "max_entropy", "gbs", "worst_gen_gibbs")
 
@@ -144,6 +144,24 @@ def _candidates(inst: Instance, available: Iterable[str]) -> list[int]:
         raise ValueError(f"unknown example {exc.args[0]!r}") from None
 
 
+def _select_index(
+    criterion: str, q: Prior, inst: Instance, candidates: Sequence[int], loss: LossMatrix | None
+) -> int:
+    """``select`` on ascending pool indices, for a known criterion and a ``_checked_loss``."""
+    if criterion == "worst_gen_gibbs":
+        gains = _worst_gen_gibbs_gains(q, inst, candidates, loss)
+        return candidates[int(np.argmax(gains))]
+    return select_from_marginals(criterion, label_marginals(q, inst), candidates)
+
+
+def _checked_loss(criterion: str, inst: Instance, loss: LossMatrix | None) -> LossMatrix | None:
+    """``loss`` checked with ``criterion``; the 0-1 default built here, once, where needed."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+    _check_loss(loss, inst)
+    return zero_one_loss(inst) if loss is None and criterion == "worst_gen_gibbs" else loss
+
+
 def select(
     criterion: str,
     p: Prior,
@@ -162,15 +180,8 @@ def select(
     candidates = _candidates(inst, available)
     if not candidates:
         raise ValueError("no examples available to select from")
-
-    if criterion == "worst_gen_gibbs":
-        gains = _worst_gen_gibbs_gains(p, inst, candidates, loss or zero_one_loss(inst))
-        xi = candidates[int(np.argmax(gains))]
-    elif criterion in CRITERIA:
-        xi = select_from_marginals(criterion, label_marginals(p, inst), candidates)
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
-    return inst.examples[xi]
+    loss = _checked_loss(criterion, inst, loss)
+    return inst.examples[_select_index(criterion, p, inst, candidates, loss)]
 
 
 def _joint_gibbs_error(p: Prior, inst: Instance, batch_idx: Sequence[int]) -> float:
@@ -218,19 +229,31 @@ def select_batch_max_gibbs(
     return tuple(inst.examples[i] for i in batch)
 
 
-def _branch_posterior(q: Prior, consistent: np.ndarray, mask_xy: np.ndarray) -> Prior:
+def _branch_posterior(q: Prior, V: np.ndarray, idx_xy: np.ndarray) -> Prior:
     """Posterior handed down a label branch.
 
-    Positive-mass branches get the renormalized Bayes restriction of
-    the parent posterior; zero-mass branches (reachable only by
-    zero-probability hypotheses) fall back to the uniform distribution
-    over the branch-consistent set so worst-case traversals still have
-    a well-defined selection rule below them.
+    ``idx_xy`` indexes every hypothesis giving the branch's label and
+    ``V`` the branch-consistent ones, both ascending.  A positive-mass
+    branch gets the renormalized restriction of ``q``, its mass summed
+    over all of ``idx_xy``: a sum over V alone can move the last bit.  A
+    zero-mass branch, reachable only by zero-probability hypotheses,
+    falls back to uniform over V so that worst-case traversals still
+    have a well-defined selection rule below it.
     """
-    mass = float(q.probs[mask_xy].sum())
+    inside = q.probs.take(idx_xy)
+    mass = float(inside.sum())
+    probs = np.zeros(q.probs.size)
     if mass > 0.0:
-        return Prior._trusted(np.where(mask_xy, q.probs, 0.0) / mass)
-    return Prior._trusted(consistent / np.count_nonzero(consistent))
+        probs[idx_xy] = inside / mass
+    else:
+        probs[V] = 1.0 / V.size
+    return Prior._trusted(probs)
+
+
+def _split_index(inst: Instance, V: np.ndarray, xi: int) -> list[np.ndarray]:
+    """V's members for each label of example ``xi``; each part of an ascending V is ascending."""
+    col = inst.label_matrix[:, xi][V]
+    return [V[col == yi] for yi in range(inst.n_labels)]
 
 
 def _grow_rounds(
@@ -240,37 +263,38 @@ def _grow_rounds(
 
     Each round ``choose(q, avail)`` returns a tuple of pool indices from
     the ascending tuple ``avail``; that batch is queried blind, in order,
-    and the tree adapts only between rounds.  ``stop_when_identified``
-    ends a path once the positive-mass version space is a singleton.
-    Callers check that ``n_rounds`` batches fit in the pool.
+    and the tree adapts only between rounds.  A node carries V, the
+    ascending index array of its branch-consistent hypotheses, which
+    holds its posterior's support.  ``stop_when_identified`` ends a path
+    once the positive-mass version space is a singleton.  Callers check
+    that ``n_rounds`` batches fit in the pool.
     """
 
-    def grow(q: Prior, consistent: np.ndarray, avail: tuple[int, ...], rounds_left: int):
-        if rounds_left == 0 or (stop_when_identified and np.count_nonzero(q.probs) <= 1):
+    def grow(q: Prior, V: np.ndarray, avail: tuple[int, ...], rounds_left: int):
+        if rounds_left == 0 or (stop_when_identified and np.count_nonzero(q.probs.take(V)) <= 1):
             return None
         batch = choose(q, avail)
         rest = tuple(i for i in avail if i not in batch)
 
-        def within(q2: Prior, cons2: np.ndarray, pos: int):
+        def within(q2: Prior, V2: np.ndarray, pos: int):
             if pos == len(batch):
-                return grow(q2, cons2, rest, rounds_left - 1)
+                return grow(q2, V2, rest, rounds_left - 1)
             xi = batch[pos]
             children = []
-            for yi, mask_xy in enumerate(masks[xi]):
-                on_branch = cons2 & mask_xy
-                if not on_branch.any():
+            for yi, Vy in enumerate(_split_index(inst, V2, xi)):
+                if not Vy.size:
                     children.append(None)
                     continue
-                q_child = _branch_posterior(q2, on_branch, mask_xy)
-                children.append(within(q_child, on_branch, pos + 1))
+                q_child = _branch_posterior(q2, Vy, idx[xi][yi])
+                children.append(within(q_child, Vy, pos + 1))
             return PolicyNode(inst.examples[xi], tuple(children))
 
-        return within(q, consistent, 0)
+        return within(q, V, 0)
 
-    # masks[xi, yi] flags the hypotheses labeling example xi with label yi
-    masks = inst.label_matrix.T[:, None, :] == np.arange(inst.n_labels)[:, None]
-    all_consistent = np.ones(inst.n_hypotheses, dtype=bool)
-    return PolicyTree(inst, grow(p, all_consistent, tuple(range(inst.n_examples)), n_rounds))
+    # idx[xi][yi]: the ascending indices of the hypotheses labeling example xi with label yi
+    idx = [[(col == yi).nonzero()[0] for yi in range(inst.n_labels)] for col in inst.label_matrix.T]
+    root = grow(p, np.arange(inst.n_hypotheses), tuple(range(inst.n_examples)), n_rounds)
+    return PolicyTree(inst, root)
 
 
 def build_policy(
@@ -291,12 +315,10 @@ def build_policy(
     _check_prior(p, inst)
     if not 1 <= budget <= inst.n_examples:
         raise ValueError(f"budget must lie in [1, {inst.n_examples}], got {budget}")
-    if loss is None and criterion == "worst_gen_gibbs":
-        loss = zero_one_loss(inst)  # once per tree, not once per node
+    loss = _checked_loss(criterion, inst, loss)  # once per tree, not once per node
 
     def choose(q: Prior, avail: tuple[int, ...]) -> tuple[int, ...]:
-        x = select(criterion, q, inst, (inst.examples[i] for i in avail), loss)
-        return (inst.example_index[x],)
+        return (_select_index(criterion, q, inst, avail, loss),)
 
     return _grow_rounds(p, inst, budget, choose, stop_when_identified)
 
@@ -360,20 +382,17 @@ def greedy_transcript(
     _check_prior(p, inst)
     if not 0 <= budget <= inst.n_examples:
         raise ValueError(f"budget must lie in [0, {inst.n_examples}], got {budget}")
-    if loss is None and criterion == "worst_gen_gibbs":
-        loss = zero_one_loss(inst)  # once per run, not once per step
+    loss = _checked_loss(criterion, inst, loss)  # once per run, not once per step
     q = p
     pairs: list[tuple[str, str]] = []
-    avail = set(inst.examples)
+    avail = list(range(inst.n_examples))
     labeling = truth.labeling
     for _ in range(budget):
-        if not avail:
-            break
-        x = select(criterion, q, inst, avail, loss)
-        y = labeling[x]
-        q = posterior(q, inst, [(x, y)])
-        pairs.append((x, y))
-        avail.discard(x)
+        xi = _select_index(criterion, q, inst, avail, loss)
+        x = inst.examples[xi]
+        q = posterior(q, inst, [(x, labeling[x])])
+        pairs.append((x, labeling[x]))
+        avail.remove(xi)
     return Transcript(tuple(pairs), q)
 
 

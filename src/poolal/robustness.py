@@ -11,7 +11,7 @@ the price of robustness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -417,31 +417,23 @@ def sweep_reports(
 
         for radius in radii:
             p1 = perturb(p0, radius, seed=[seed, trial, int(radius * 1000)])
-            tag = {"trial": trial, "radius": radius}
-
-            r = check_avg_bound(inst, p0, p1, u_vsr, "max_gibbs", ALPHA_GREEDY, b, opt=oracle_avg)
-            reports.append(BoundReport.at_least("avg_vsr_max_gibbs", r.lhs, r.rhs, {**r.params, **tag}))
-
-            r = check_worst_bound(inst, p0, p1, u_vsr, "least_confidence", ALPHA_GREEDY, b, opt=oracle_worst)
-            reports.append(BoundReport.at_least("worst_vsr_least_confidence", r.lhs, r.rhs, {**r.params, **tag}))
-
-            r = check_worst_bound(inst, p0, p1, u_gen, "worst_gen_gibbs", ALPHA_GREEDY, b, opt=oracle_gen)
-            reports.append(BoundReport.at_least("worst_gen_gibbs_01", r.lhs, r.rhs, {**r.params, **tag}))
-
             p1_cov = _perturbed_with_support(p0, radius, [seed, trial, int(radius * 1000)])
-            r = check_mincost_bound(inst, p0, p1_cov, "gbs", opt=oracle_cost)
-            reports.append(BoundReport.at_most("mincost_gbs", r.lhs, r.rhs, {**r.params, **tag}))
+            for name, r in (
+                ("avg_vsr_max_gibbs",
+                 check_avg_bound(inst, p0, p1, u_vsr, "max_gibbs", ALPHA_GREEDY, b, oracle_avg)),
+                ("worst_vsr_least_confidence",
+                 check_worst_bound(inst, p0, p1, u_vsr, "least_confidence", ALPHA_GREEDY, b, oracle_worst)),
+                ("worst_gen_gibbs_01",
+                 check_worst_bound(inst, p0, p1, u_gen, "worst_gen_gibbs", ALPHA_GREEDY, b, oracle_gen)),
+                ("mincost_gbs", check_mincost_bound(inst, p0, p1_cov, "gbs", opt=oracle_cost)),
+            ):
+                reports.append(replace(r, bound=name, params={**r.params, "trial": trial, "radius": radius}))
 
         if include_mixture:
             k = int(rng.integers(1, max_components + 1))
             components = [random_prior(inst, rng) for _ in range(k)]
             true_index = int(rng.integers(k))
-            r_mix, r_true = check_mixture_bounds(inst, components, true_index)
-            reports.append(
-                BoundReport.at_most(r_mix.bound, r_mix.lhs, r_mix.rhs, {**r_mix.params, "trial": trial})
-            )
-            reports.append(
-                BoundReport.at_most(r_true.bound, r_true.lhs, r_true.rhs, {**r_true.params, "trial": trial})
-            )
+            for r in check_mixture_bounds(inst, components, true_index):
+                reports.append(replace(r, params={**r.params, "trial": trial}))
 
     return reports

@@ -146,31 +146,44 @@ def eval_utility(
     return set_utility(u, p, inst, _consistent_mask(inst, ((x, h.label_of(x)) for x in S)))
 
 
+def _check_loss(loss: LossMatrix | None, inst: Instance) -> None:
+    if loss is not None and loss.values.shape[0] != inst.n_hypotheses:
+        raise ValueError("loss matrix does not match the instance")
+
+
+def _set_utility_fn(u: Utility, p: Prior, inst: Instance) -> Callable[[np.ndarray], float]:
+    """``agree -> set_utility(u, p, inst, agree)``, with the per-(u, p) constants bound once."""
+    q = p.probs
+    if isinstance(u, VersionSpaceReduction):
+        return lambda agree: 1.0 - float(q[agree].sum())
+
+    if isinstance(u, GeneralizedReduction):
+        _check_loss(u.loss, inst)
+        L = u.loss.values
+        total = float(q @ L @ q)
+
+        def generalized(agree: np.ndarray) -> float:
+            q_in = np.zeros_like(q)
+            q_in[agree] = q[agree]
+            return total - float(q_in @ L @ q_in)
+
+        return generalized
+
+    if isinstance(u, PruningCount):
+        above = q > u.mu
+        n_above = np.count_nonzero(above)
+        return lambda agree: float(n_above - np.count_nonzero(above[agree]))
+
+    raise TypeError(f"unknown utility {u!r}")
+
+
 def set_utility(u: Utility, p: Prior, inst: Instance, agree: np.ndarray) -> float:
     """Utility under ``p`` at any (S, h) whose agreement set is ``agree``.
 
     ``agree`` selects the hypotheses matching ``h`` on ``S``, as a boolean
     mask or an ascending index array; both give the same double.
     """
-    if isinstance(u, VersionSpaceReduction):
-        return 1.0 - float(p.probs[agree].sum())
-
-    if isinstance(u, GeneralizedReduction):
-        L = u.loss.values
-        if L.shape[0] != inst.n_hypotheses:
-            raise ValueError("loss matrix does not match the instance")
-        q = p.probs
-        total = float(q @ L @ q)
-        q_in = np.zeros_like(q)
-        q_in[agree] = q[agree]
-        inside = float(q_in @ L @ q_in)
-        return total - inside
-
-    if isinstance(u, PruningCount):
-        above = p.probs > u.mu
-        return float(np.count_nonzero(above) - np.count_nonzero(above[agree]))
-
-    raise TypeError(f"unknown utility {u!r}")
+    return _set_utility_fn(u, p, inst)(agree)
 
 
 def lipschitz_constant(u: Utility) -> tuple[float | None, float | None]:

@@ -40,6 +40,32 @@ class TestDefaultLoss:
         assert policy_to_text(tree) == policy_to_text(build_policy(criterion, p, inst, 3, loss=explicit))
 
 
+class TestCheckedBeforeGrowing:
+    """Inputs a tree cannot use are named before any node is grown."""
+
+    @pytest.mark.parametrize("entry", ["select", "build_policy", "greedy_transcript"])
+    def test_loss_of_another_instance_is_named(self, entry):
+        inst = pl.random_instance(4, 8, 2, rng=3)
+        p = pl.random_prior(inst, 4)
+        loss = pl.zero_one_loss(pl.random_instance(4, 6, 2, rng=5))
+        call = {
+            "select": lambda: select("worst_gen_gibbs", p, inst, inst.examples, loss),
+            "build_policy": lambda: build_policy("worst_gen_gibbs", p, inst, 2, loss),
+            "greedy_transcript": lambda: greedy_transcript(
+                "worst_gen_gibbs", p, inst, 2, inst.hypotheses[0], loss
+            ),
+        }[entry]
+        with pytest.raises(ValueError, match="^loss matrix does not match the instance$"):
+            call()
+
+    def test_unknown_criterion_rejected_even_with_nothing_to_grow(self, square):
+        identified = pl.Prior([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="budget"):
+            build_policy("bogus", identified, square, 0)
+        with pytest.raises(ValueError, match="unknown criterion 'bogus'"):
+            build_policy("bogus", identified, square, 2, stop_when_identified=True)
+
+
 class TestSelect:
     def test_max_gibbs_prefers_even_split(self, square):
         # Gibbs error 0.48 at x0 vs 0.42 at x1

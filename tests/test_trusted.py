@@ -51,7 +51,7 @@ def check_every_branch(inst, p):
             if not mask.any():
                 continue
             mass = float(p.probs[mask].sum())
-            branch = _branch_posterior(p, mask, mask)
+            branch = _branch_posterior(p, np.flatnonzero(mask), np.flatnonzero(mask))
             assert_trusted(branch)
             if mass == 0.0:  # the uniform fallback over the branch
                 np.testing.assert_array_equal(branch.probs, np.where(mask, 1.0, 0.0) / mask.sum())
@@ -81,7 +81,7 @@ class TestTrustedPriors:
     def test_zero_mass_branch_falls_back_to_uniform(self, square):
         p = pl.Prior([0.5, 0.5, 0.0, 0.0])  # x1 = 1 has no mass
         mask = square.label_matrix[:, 1] == 1
-        branch = _branch_posterior(p, mask, mask)
+        branch = _branch_posterior(p, np.flatnonzero(mask), np.flatnonzero(mask))
         assert_trusted(branch)
         np.testing.assert_array_equal(branch.probs, [0.0, 0.0, 0.5, 0.5])
 
