@@ -179,7 +179,7 @@ def cmd_run(opts) -> int:
     # hypotheses sharing a leaf share its path and its agreement set V
     rows = [""] * inst.n_hypotheses
     utility = _set_utility_fn(u, prior, inst)
-    for V, _ in _leaves(tree):
+    for V in _leaves(tree):
         queried, labels, cost = run_policy(tree, inst.hypothesis(V[0]))
         value = _fmt(utility(V))
         tail = f"{'|'.join(queried)},{'|'.join(labels)},{value},{cost}"

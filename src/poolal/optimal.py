@@ -1,8 +1,8 @@
 """Policy values and exact optimal policies on small instances.
 
-The policy values f_avg, f_worst and c_avg walk the tree once: all
-hypotheses at a leaf share one agreement set, so the utility is
-evaluated once per leaf and a value costs O(H * depth).
+f_avg, f_worst and c_avg route all hypotheses down the tree at once and
+evaluate the utility once per leaf, whose hypotheses share one agreement
+set: O(H * depth).  Greedy trees build posteriors only for nodes they expand.
 
 Three oracles: maximum expected utility, maximum worst-case utility,
 and minimum expected identification cost.  They exist to verify
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Instance, Prior, _check_prior
-from .policies import PolicyNode, PolicyTree, _split_index, policy_to_text
+from .policies import PolicyNode, PolicyTree, policy_to_text
 from .utilities import Utility, _set_utility_fn
 
 EXAMPLE_CAP = 6
@@ -56,28 +56,46 @@ class OptResult:
         return f"value={self.value!r}\n" + policy_to_text(self.policy)
 
 
-def _leaves(tree: PolicyTree):
-    """Yield (V, depth) for every leaf that some hypothesis reaches.
+def _route(tree: PolicyTree) -> tuple[np.ndarray, np.ndarray]:
+    """Each hypothesis's leaf key and depth: all move down one level per step.
 
-    V, the ascending index array of the hypotheses ending there, is
-    carried down and split on each queried label, so a node costs
-    O(|V|).  Hypotheses share a leaf exactly when they agree on the
-    examples queried on its path: V is each member's agreement set.
+    A leaf is keyed by its slot k * Y + y, label y of the k-th node breadth
+    first; an unknown example raises ``ValueError`` once a hypothesis reaches it.
     """
     inst = tree.instance
-    stack = [(tree.root, np.arange(inst.n_hypotheses), 0)]
-    while stack:
-        node, V, depth = stack.pop()
-        if node is None:
-            yield V, depth
-            continue
-        try:
-            xi = inst.example_index[node.example]
-        except KeyError:
-            raise ValueError(f"unknown example {node.example!r}") from None
-        for yi, Vy in enumerate(_split_index(inst, V, xi)):
-            if Vy.size:
-                stack.append((node.children[yi], Vy, depth + 1))
+    H, Y = inst.n_hypotheses, inst.n_labels
+    key, depth = np.zeros(H, dtype=np.intp), np.zeros(H, dtype=np.intp)
+    if tree.root is None:
+        return key, depth
+    nodes, child = [tree.root], []  # child[k * Y + y]: the flat index of node k's y-child, or -1
+    for node in nodes:  # grows while read: a breadth-first queue
+        for c in node.children:
+            child.append(-1 if c is None else len(nodes))
+            if c is not None:
+                nodes.append(c)
+    if len(child) != len(nodes) * Y:
+        raise ValueError(f"every policy node needs one child slot per label ({Y})")
+    examples = np.array([inst.example_index.get(n.example, -1) for n in nodes], dtype=np.intp)
+    child, labels = np.array(child, dtype=np.intp), inst.label_matrix.ravel()
+    hyp, at, level = np.arange(H), np.zeros(H, dtype=np.intp), 0
+    while hyp.size:
+        xs, level = examples.take(at), level + 1
+        if xs.min() < 0:
+            raise ValueError(f"unknown example {nodes[at[np.argmin(xs)]].example!r}")
+        slot = at * Y + labels.take(hyp * inst.n_examples + xs)
+        nxt = child.take(slot)
+        done = nxt < 0
+        key[hyp[done]], depth[hyp[done]] = slot[done], level
+        hyp, at = hyp[~done], nxt[~done]
+    return key, depth
+
+
+def _leaves(tree: PolicyTree) -> list[np.ndarray]:
+    """V for every reached leaf, ascending: each member's agreement set on its path."""
+    key = _route(tree)[0]
+    order = np.argsort(key, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), key.size]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _leaf_utilities(p: Prior, u: Utility, tree: PolicyTree) -> list[float]:
@@ -85,7 +103,7 @@ def _leaf_utilities(p: Prior, u: Utility, tree: PolicyTree) -> list[float]:
     _check_prior(p, tree.instance)
     value = _set_utility_fn(u, p, tree.instance)
     vals = np.empty(tree.instance.n_hypotheses)
-    for V, _ in _leaves(tree):
+    for V in _leaves(tree):
         vals[V] = value(V)
     return vals.tolist()
 
@@ -125,30 +143,23 @@ def c_avg(p: Prior, tree: PolicyTree) -> float:
     """
     inst = tree.instance
     _check_prior(p, inst)
-    in_support = p.probs > 0
-    depth = np.empty(inst.n_hypotheses, dtype=int)
-    pair = None
-    for V, d in _leaves(tree):
-        depth[V] = d
-        shared = V[in_support[V]]
-        if shared.size > 1 and (pair is None or shared[0] < pair[0]):
-            pair = (int(shared[0]), int(shared[1]))
-    if pair is not None:
-        raise IdentificationError(
-            f"policy does not separate {inst.ids[pair[0]]!r} from "
-            f"{inst.ids[pair[1]]!r}"
-        )
-    costs = depth.tolist()
+    key, depth = _route(tree)
+    support = p.support
+    by_leaf = support[np.argsort(key[support], kind="stable")]  # each leaf's group ascending
+    shared = np.flatnonzero(np.diff(key[by_leaf]) == 0)
+    if shared.size:  # the least member with a successor at its leaf heads its group
+        first = shared[np.argmin(by_leaf[shared])]
+        a, b = (inst.ids[hi] for hi in by_leaf[first : first + 2])
+        raise IdentificationError(f"policy does not separate {a!r} from {b!r}")
     total = 0.0
-    for hi in p.support.tolist():
-        total += float(p.probs[hi]) * costs[hi]
+    for prob, cost in zip(p.probs[support].tolist(), depth[support].tolist()):
+        total += prob * cost
     return total
 
 
-def _split(inst: Instance, V: tuple[int, ...], xi: int) -> tuple[tuple[int, ...], ...]:
-    """V's members for each label of example ``xi``, each part ascending."""
-    col = inst.label_matrix[:, xi].tolist()
-    return tuple(tuple(hi for hi in V if col[hi] == yi) for yi in range(inst.n_labels))
+def _split(col: list[int], V: tuple[int, ...], n_labels: int) -> tuple[tuple[int, ...], ...]:
+    """V's members per label in ``col``, a row of ``label_matrix.T.tolist()``; parts ascending."""
+    return tuple(tuple(hi for hi in V if col[hi] == yi) for yi in range(n_labels))
 
 
 def _check_caps(inst: Instance, example_cap: int, hypothesis_cap: int) -> None:
@@ -193,6 +204,7 @@ def _search_rounds(
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, PolicyNode | None]] = {}
     explored = 0
     utility = _set_utility_fn(u, p, inst)
+    cols = inst.label_matrix.T.tolist()
 
     def leaf_value(V: tuple[int, ...]) -> float:
         # V is every member's agreement set on the queried examples
@@ -220,7 +232,7 @@ def _search_rounds(
                 xi = batch[pos]
                 agg = math.inf if worst_case else 0.0
                 children: list[PolicyNode | None] = []
-                for Vy in _split(inst, V2, xi):
+                for Vy in _split(cols[xi], V2, inst.n_labels):
                     if not Vy:
                         children.append(None)
                         continue
@@ -236,6 +248,7 @@ def _search_rounds(
         return memo[key]
 
     value, root = search(tuple(range(inst.n_hypotheses)), tuple(range(inst.n_examples)))
+    del search  # it refers to itself: a cycle that would keep memo alive until collected
     return OptResult(value, PolicyTree(inst, root), explored)
 
 
@@ -282,6 +295,7 @@ def opt_min_cost(
 
     memo: dict[tuple[int, ...], tuple[float, PolicyNode | None]] = {}
     explored = 0
+    cols = inst.label_matrix.T.tolist()
 
     def search(V: tuple[int, ...]) -> tuple[float, PolicyNode | None]:
         # returns the support-mass-weighted remaining cost (unnormalized)
@@ -294,8 +308,8 @@ def opt_min_cost(
             return memo[V]
         mass = float(p.probs[list(V)].sum())
         best_val, best_node = math.inf, None
-        for xi in range(inst.n_examples):
-            parts = _split(inst, V, xi)
+        for xi, col in enumerate(cols):
+            parts = _split(col, V, inst.n_labels)
             if sum(1 for Vy in parts if Vy) < 2:
                 continue  # xi does not split V
             val = mass
@@ -316,6 +330,7 @@ def opt_min_cost(
         return memo[V]
 
     value, root = search(tuple(p.support.tolist()))
+    del search  # it refers to itself: a cycle that would keep memo alive until collected
     return OptResult(value, PolicyTree(inst, root), explored)
 
 
@@ -347,12 +362,14 @@ def opt_worst_naive(p: Prior, u: Utility, inst: Instance, budget: int) -> float:
     return max(f_worst(p, u, PolicyTree(inst, root)) for root in roots)
 
 
-def _all_identification_nodes(inst: Instance, V: tuple[int, ...], avail: tuple[int, ...]):
+def _all_identification_nodes(
+    inst: Instance, cols: list[list[int]], V: tuple[int, ...], avail: tuple[int, ...]
+):
     if len(V) <= 1:
         yield None
         return
     for xi in avail:
-        parts = _split(inst, V, xi)
+        parts = _split(cols[xi], V, inst.n_labels)
         if sum(1 for Vy in parts if Vy) < 2:
             continue
         rest = tuple(i for i in avail if i != xi)
@@ -361,7 +378,7 @@ def _all_identification_nodes(inst: Instance, V: tuple[int, ...], avail: tuple[i
             if not Vy:
                 per_label.append([None])
             else:
-                per_label.append(list(_all_identification_nodes(inst, Vy, rest)))
+                per_label.append(list(_all_identification_nodes(inst, cols, Vy, rest)))
         for kids in itertools.product(*per_label):
             yield PolicyNode(inst.examples[xi], tuple(kids))
 
@@ -369,7 +386,8 @@ def _all_identification_nodes(inst: Instance, V: tuple[int, ...], avail: tuple[i
 def opt_min_cost_naive(p: Prior, inst: Instance) -> float:
     """Enumerate every identification tree over the support and take the cheapest."""
     support = tuple(p.support.tolist())
-    roots = _all_identification_nodes(inst, support, tuple(range(inst.n_examples)))
+    cols = inst.label_matrix.T.tolist()
+    roots = _all_identification_nodes(inst, cols, support, tuple(range(inst.n_examples)))
     costs = [c_avg(p, PolicyTree(inst, root)) for root in roots]
     if not costs:  # a singleton support yields the empty tree, so this needs a pair
         raise _no_separator(inst, support)

@@ -76,28 +76,23 @@ def select_from_marginals(
     if len(candidates) == 0:
         raise ValueError("no examples available to select from")
 
+    # score rows over every example, bitwise equal to per-row scalars on C-ordered rows
+    m = np.ascontiguousarray(marginals)
     if criterion == "max_gibbs":
-        score = lambda xi: 1.0 - float((marginals[xi] ** 2).sum())
-        maximize = True
-    elif criterion == "least_confidence":
-        score = lambda xi: float(marginals[xi].max())
-        maximize = False
+        scores, maximize = (1.0 - (m**2).sum(axis=1)).tolist(), True
+    elif criterion == "least_confidence" or (criterion == "gbs" and m.shape[1] != 2):
+        scores, maximize = m.max(axis=1).tolist(), False
     elif criterion == "max_entropy":
-        score = lambda xi: _entropy(marginals[xi])
-        maximize = True
+        scores, maximize = {xi: _entropy(m[xi]) for xi in candidates}, True
     elif criterion == "gbs":
-        if marginals.shape[1] == 2:
-            score = lambda xi: abs(float(marginals[xi, 1] - marginals[xi, 0]))
-        else:
-            score = lambda xi: float(marginals[xi].max())
-        maximize = False
+        scores, maximize = np.abs(m[:, 1] - m[:, 0]).tolist(), False
     else:
         raise ValueError(f"criterion {criterion!r} is not marginal-computable")
 
     best_xi = None
     best = -math.inf if maximize else math.inf
     for xi in candidates:
-        s = score(xi)
+        s = scores[xi]
         if (maximize and s > best) or (not maximize and s < best):
             best, best_xi = s, xi
     if best_xi is None:
@@ -217,6 +212,14 @@ def select_batch_max_gibbs(
         raise ValueError(
             f"batch size {batch_size} out of range for {len(remaining)} available examples"
         )
+    return tuple(inst.examples[i] for i in _select_batch_index(p, inst, remaining, batch_size))
+
+
+def _select_batch_index(
+    p: Prior, inst: Instance, candidates: Sequence[int], batch_size: int
+) -> tuple[int, ...]:
+    """``select_batch_max_gibbs`` on ascending pool indices, for a batch size that fits."""
+    remaining = list(candidates)
     batch: list[int] = []
     for _ in range(batch_size):
         best_xi, best = None, -math.inf
@@ -226,7 +229,7 @@ def select_batch_max_gibbs(
                 best, best_xi = s, xi
         batch.append(best_xi)
         remaining.remove(best_xi)
-    return tuple(inst.examples[i] for i in batch)
+    return tuple(batch)
 
 
 def _branch_posterior(q: Prior, V: np.ndarray, idx_xy: np.ndarray) -> Prior:
@@ -250,12 +253,6 @@ def _branch_posterior(q: Prior, V: np.ndarray, idx_xy: np.ndarray) -> Prior:
     return Prior._trusted(probs)
 
 
-def _split_index(inst: Instance, V: np.ndarray, xi: int) -> list[np.ndarray]:
-    """V's members for each label of example ``xi``; each part of an ascending V is ascending."""
-    col = inst.label_matrix[:, xi][V]
-    return [V[col == yi] for yi in range(inst.n_labels)]
-
-
 def _grow_rounds(
     p: Prior, inst: Instance, n_rounds: int, choose: Callable, stop_when_identified: bool = False
 ) -> PolicyTree:
@@ -266,34 +263,45 @@ def _grow_rounds(
     and the tree adapts only between rounds.  A node carries V, the
     ascending index array of its branch-consistent hypotheses, which
     holds its posterior's support.  ``stop_when_identified`` ends a path
-    once the positive-mass version space is a singleton.  Callers check
+    once the positive-mass version space is a singleton, read off the
+    parent's posterior: only expanded nodes get one.  Callers check
     that ``n_rounds`` batches fit in the pool.
     """
 
+    def is_leaf(q: Prior, V: np.ndarray, rounds_left: int) -> bool:
+        # q is the posterior V was split under; a massless V would fall back to uniform
+        identified = stop_when_identified and (np.count_nonzero(q.probs.take(V)) or V.size) <= 1
+        return rounds_left == 0 or identified
+
     def grow(q: Prior, V: np.ndarray, avail: tuple[int, ...], rounds_left: int):
-        if rounds_left == 0 or (stop_when_identified and np.count_nonzero(q.probs.take(V)) <= 1):
-            return None
         batch = choose(q, avail)
         rest = tuple(i for i in avail if i not in batch)
+        return within(q, V, batch, rest, rounds_left, 0)
 
-        def within(q2: Prior, V2: np.ndarray, pos: int):
-            if pos == len(batch):
-                return grow(q2, V2, rest, rounds_left - 1)
-            xi = batch[pos]
-            children = []
-            for yi, Vy in enumerate(_split_index(inst, V2, xi)):
-                if not Vy.size:
-                    children.append(None)
-                    continue
-                q_child = _branch_posterior(q2, Vy, idx[xi][yi])
-                children.append(within(q_child, Vy, pos + 1))
-            return PolicyNode(inst.examples[xi], tuple(children))
+    # queries batch[pos]; a closure made per node inside grow would be a cycle for the collector
+    def within(q, V, batch, rest, rounds_left, pos):
+        xi = batch[pos]
+        labels = cols[xi].take(V)  # a contiguous row; each Vy of an ascending V is ascending
+        last = pos + 1 == len(batch)
+        children = []
+        for yi in range(inst.n_labels):
+            Vy = V[labels == yi]
+            if not Vy.size or (last and is_leaf(q, Vy, rounds_left - 1)):
+                children.append(None)
+                continue
+            q_child = _branch_posterior(q, Vy, idx[xi][yi])
+            if last:
+                children.append(grow(q_child, Vy, rest, rounds_left - 1))
+            else:
+                children.append(within(q_child, Vy, batch, rest, rounds_left, pos + 1))
+        return PolicyNode(inst.examples[xi], tuple(children))
 
-        return within(q, V, 0)
-
+    cols = np.ascontiguousarray(inst.label_matrix.T)
     # idx[xi][yi]: the ascending indices of the hypotheses labeling example xi with label yi
-    idx = [[(col == yi).nonzero()[0] for yi in range(inst.n_labels)] for col in inst.label_matrix.T]
-    root = grow(p, np.arange(inst.n_hypotheses), tuple(range(inst.n_examples)), n_rounds)
+    idx = [[(col == yi).nonzero()[0] for yi in range(inst.n_labels)] for col in cols]
+    V = np.arange(inst.n_hypotheses)
+    root = None if is_leaf(p, V, n_rounds) else grow(p, V, tuple(range(inst.n_examples)), n_rounds)
+    del grow, within  # a cycle between them would keep choose, and any loss it holds, alive
     return PolicyTree(inst, root)
 
 
@@ -339,8 +347,7 @@ def build_batch_policy(
         raise ValueError("batch rounds exceed the pool size")
 
     def choose(q: Prior, avail: tuple[int, ...]) -> tuple[int, ...]:
-        batch = select_batch_max_gibbs(q, inst, (inst.examples[i] for i in avail), batch_size)
-        return tuple(inst.example_index[x] for x in batch)
+        return _select_batch_index(q, inst, avail, batch_size)
 
     return _grow_rounds(p, inst, n_rounds, choose)
 

@@ -2,8 +2,8 @@
 
 ``reference_tree`` is the dense-mask grower: a boolean consistent set
 per node and a boolean label mask per branch.  The package's
-index-array grower must build the same tree and hand every branch
-exactly the same posterior, bit for bit, which pins both the mass
+index-array grower must build the same tree and hand every branch it
+expands exactly the same posterior, bit for bit, which pins both the mass
 summed over the whole label column (numpy's pairwise sum groups
 elements by position, so a sum over the consistent set alone can move
 the last bit from eight elements on) and the uniform fallback over the
@@ -40,7 +40,11 @@ def reference_branch_posterior(q, consistent, mask_xy):
 
 
 def reference_tree(p, inst, n_rounds, choose, stop_when_identified=False):
-    """(tree, every branch posterior in the order the grower made them)."""
+    """(tree, the posterior of every expanded non-root node, in growth order).
+
+    A leaf's posterior is built here to decide that it is a leaf, then
+    dropped from the record: the package builds none for leaves.
+    """
     made = []
 
     def grow(q, consistent, avail, rounds_left):
@@ -60,14 +64,17 @@ def reference_tree(p, inst, n_rounds, choose, stop_when_identified=False):
                     children.append(None)
                     continue
                 made.append(reference_branch_posterior(q2, on_branch, mask_xy))
-                children.append(within(made[-1], on_branch, pos + 1))
+                slot = len(made) - 1
+                children.append(within(made[slot], on_branch, pos + 1))
+                if children[-1] is None:
+                    made[slot] = None
             return PolicyNode(inst.examples[xi], tuple(children))
 
         return within(q, consistent, 0)
 
     masks = inst.label_matrix.T[:, None, :] == np.arange(inst.n_labels)[:, None]
     root = grow(p, np.ones(inst.n_hypotheses, dtype=bool), tuple(range(inst.n_examples)), n_rounds)
-    return PolicyTree(inst, root), made
+    return PolicyTree(inst, root), [q for q in made if q is not None]
 
 
 def reference_policy(criterion, p, inst, budget, loss=None, stop_when_identified=False):
@@ -178,6 +185,49 @@ class TestAgainstDenseReference:
             monkeypatch,
             lambda: build_batch_policy(p, inst, 2, 2),
             lambda: reference_batch_policy(p, inst, 2, 2),
+        )
+
+
+def count_nodes(tree):
+    n, stack = 0, [tree.root]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            n += 1
+            stack.extend(node.children)
+    return n
+
+
+class TestPosteriorCount:
+    """One branch posterior per expanded node below the root, none for leaves."""
+
+    def assert_once_per_expanded_node(self, monkeypatch, build):
+        calls = []
+        real = policies._branch_posterior
+        monkeypatch.setattr(policies, "_branch_posterior", lambda *a: calls.append(a) or real(*a))
+        tree = build()
+        assert len(calls) == max(count_nodes(tree) - 1, 0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded(self, monkeypatch, seed, kind):
+        inst, p = small_case(seed, 2 + seed % 2, kind)
+        X = inst.n_examples
+        for criterion in policies.CRITERIA:
+            for budget, stop in ((X, False), (X, True), (max(1, X // 2), False)):
+                self.assert_once_per_expanded_node(
+                    monkeypatch, lambda: build_policy(criterion, p, inst, budget, None, stop)
+                )
+        for n_rounds, batch_size in ((1, X), (X // 2, 2)):
+            if n_rounds >= 1:
+                self.assert_once_per_expanded_node(
+                    monkeypatch, lambda: build_batch_policy(p, inst, n_rounds, batch_size)
+                )
+
+    def test_trees_workload_identification_tree(self, monkeypatch):
+        inst, p = trees_case(0)
+        self.assert_once_per_expanded_node(
+            monkeypatch, lambda: grow_golden("gbs", inst, p)
         )
 
 

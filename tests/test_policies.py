@@ -462,3 +462,79 @@ class TestSelectionKernelsMatchReference:
             gains = _worst_gen_gibbs_gains(p, inst, range(inst.n_examples), loss)
             assert gains[lo] == gains[hi] == gains.max()
             assert select("worst_gen_gibbs", p, inst, inst.examples, loss) == inst.examples[lo]
+
+
+# select_from_marginals against the per-candidate scan it replaced: one
+# Python float per candidate, strict improvements only, so ties go to the
+# first candidate and NaN never wins.
+
+
+def ref_select_from_marginals(criterion, marginals, candidates):
+    def entropy(row):
+        nz = row[row > 0]
+        return float(-(nz * np.log(nz)).sum())
+
+    score, maximize = {
+        "max_gibbs": (lambda xi: 1.0 - float((marginals[xi] ** 2).sum()), True),
+        "least_confidence": (lambda xi: float(marginals[xi].max()), False),
+        "max_entropy": (lambda xi: entropy(marginals[xi]), True),
+        "gbs": (
+            (lambda xi: abs(float(marginals[xi, 1] - marginals[xi, 0])))
+            if marginals.shape[1] == 2
+            else (lambda xi: float(marginals[xi].max())),
+            False,
+        ),
+    }[criterion]
+    best_xi, best = None, -math.inf if maximize else math.inf
+    for xi in candidates:
+        s = score(xi)
+        if (maximize and s > best) or (not maximize and s < best):
+            best, best_xi = s, xi
+    if best_xi is None:
+        raise ValueError(f"criterion {criterion!r} scored no candidate: marginals are not finite")
+    return best_xi
+
+
+def marginals_case(rng):
+    """Rows on the simplex with zeros and a few non-finite entries.
+
+    Some rows repeat one row (exact ties) and some permute it, so that
+    their sums differ only by summation order and the pick rests on the
+    last bits.
+    """
+    n_x, n_y = int(rng.integers(1, 40)), int(rng.integers(2, 18))
+    m = rng.dirichlet(np.ones(n_y), size=n_x)
+    m[rng.random(m.shape) < 0.2] = 0.0
+    source = m[int(rng.integers(n_x))].copy()
+    for xi in np.flatnonzero(rng.random(n_x) < 0.5):
+        m[xi] = source if rng.random() < 0.5 else rng.permutation(source)
+    if rng.random() < 0.3:
+        m[rng.random(m.shape) < 0.1] = rng.choice([np.nan, np.inf, -np.inf])
+    candidates = sorted(int(i) for i in rng.permutation(n_x)[: int(rng.integers(1, n_x + 1))])
+    return m, candidates
+
+
+def assert_same_pick(m, candidates):
+    for criterion in ("max_gibbs", "least_confidence", "max_entropy", "gbs"):
+        for layout in (m, np.asfortranarray(m)):  # a column-major copy sums rows in another order
+            try:
+                expected = ref_select_from_marginals(criterion, layout, candidates)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    select_from_marginals(criterion, layout, candidates)
+                assert str(got.value) == str(exc)
+                continue
+            assert select_from_marginals(criterion, layout, candidates) == expected
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf is NaN in both
+class TestSelectFromMarginalsMatchesScan:
+    def test_seeded(self):
+        rng = np.random.default_rng(1603)
+        for _ in range(500):
+            assert_same_pick(*marginals_case(rng))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_generated(self, seed):
+        assert_same_pick(*marginals_case(np.random.default_rng(seed)))
