@@ -82,7 +82,8 @@ class Instance:
     """A pool, its label set, and an explicit hypothesis list.
 
     Hypothesis ``i`` is stored once: its id ``ids[i]`` and its label
-    indices ``label_matrix[i]``; :class:`Hypothesis` objects are built on
+    indices ``label_matrix[i]``, whose transpose ``label_columns`` holds
+    one contiguous row per example; :class:`Hypothesis` objects are built on
     demand.  Hypotheses keep their declaration order; every probability
     vector in this package is index-parallel to ``ids``.  Zero-probability
     hypotheses stay in the list: worst-case objectives and the
@@ -105,13 +106,17 @@ class Instance:
 
     @classmethod
     def _from_codes(cls, examples, labels, codes: np.ndarray, ids=None) -> "Instance":
-        """Labeling ``i`` is the base-|Y| digits of ``codes[i]``, first example lowest."""
-        ids = tuple(f"h{i}" for i in range(len(codes))) if ids is None else tuple(ids)
+        """Labeling ``i`` is the base-|Y| digits of ``codes[i]``, first example lowest; distinct
+        codes below |Y|**|X| (an ``arange``, a draw without replacement) give distinct rows."""
         inst = cls.__new__(cls)
-        inst._set_pool(examples, labels, len(ids))
-        n_y = inst.n_labels
-        digits = codes[:, None] // n_y ** np.arange(inst.n_examples) % n_y
-        inst._set_rows(ids, digits.astype(np.int16))
+        inst._set_pool(examples, labels, len(codes))
+        cols = np.empty((inst.n_examples, len(codes)), dtype=np.int16)
+        rest = np.array(codes, dtype=np.int64)
+        for col in cols:  # one digit per pass, written straight into its column
+            np.divmod(rest, inst.n_labels, out=(rest, col), casting="unsafe")
+        generated = ids is None  # h0, h1, ... are distinct
+        ids = tuple(f"h{i}" for i in range(len(codes))) if generated else tuple(ids)
+        inst._set_rows(ids, np.ascontiguousarray(cols.T), cols, check_ids=not generated)
         return inst
 
     def _set_pool(self, examples: Sequence[str], labels: Sequence[str], n_hypotheses: int) -> None:
@@ -139,23 +144,27 @@ class Instance:
             raise ValueError(f"hypothesis {ids[i]!r} uses unknown label {labelings[i][j]!r}")
         self._set_rows(ids, rows)
 
-    def _set_rows(self, ids: tuple[str, ...], rows: np.ndarray) -> None:
-        if len(set(ids)) != len(ids):
+    def _set_rows(self, ids: tuple[str, ...], rows: np.ndarray, cols=None, check_ids=True) -> None:
+        """Store ``rows`` under ``ids``; rows given with their transpose ``cols`` were decoded
+        from distinct codes, so only rows without are searched for a repeated labeling."""
+        if check_ids and len(set(ids)) != len(ids):
             first: dict = {}
             dup = next(hid for k, hid in enumerate(ids) if first.setdefault(hid, k) != k)
             raise ValueError(f"duplicate hypothesis id {dup!r}")
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first_at, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        if first_at.size != len(ids):
-            # the earliest row repeating an earlier one, and that earlier row
-            origin = first_at[inverse]
-            k = int(np.flatnonzero(origin != np.arange(len(ids)))[0])
-            raise ValueError(
-                f"hypotheses {ids[origin[k]]!r} and {ids[k]!r} are the same labeling"
-            )
+        if cols is None:
+            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+            _, first_at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            if first_at.size != len(ids):
+                # the earliest row repeating an earlier one, and that earlier row
+                origin = first_at[inverse]
+                k = int(np.flatnonzero(origin != np.arange(len(ids)))[0])
+                raise ValueError(
+                    f"hypotheses {ids[origin[k]]!r} and {ids[k]!r} are the same labeling"
+                )
+            cols = np.ascontiguousarray(rows.T)
         rows.setflags(write=False)
-        self.ids = ids
-        self.label_matrix = rows
+        cols.setflags(write=False)
+        self.ids, self.label_matrix, self.label_columns = ids, rows, cols
 
     @functools.cached_property
     def label_onehot(self) -> np.ndarray:
@@ -165,10 +174,10 @@ class Instance:
         ``xi`` with label ``yi``; built lazily, it turns per-example
         marginals into a single matrix-vector product.
         """
-        n_h, n_x = self.label_matrix.shape
-        flat = np.arange(n_x) * self.n_labels + self.label_matrix  # (H, X)
-        onehot = np.zeros((n_x * self.n_labels, n_h))
-        onehot[flat.ravel(), np.repeat(np.arange(n_h), n_x)] = 1.0
+        cols, n_y = self.label_columns, self.n_labels
+        onehot = np.empty((cols.shape[0] * n_y, cols.shape[1]))
+        for yi in range(n_y):  # every entry is written: each label has its rows yi::n_y
+            np.equal(cols, yi, out=onehot[yi::n_y], casting="unsafe")
         onehot.setflags(write=False)
         return onehot
 
@@ -344,7 +353,7 @@ def _consistent_mask(inst: Instance, pairs: Iterable[Pair]) -> np.ndarray:
             yi = inst.label_index[y]
         except KeyError:
             raise ValueError(f"unknown label {y!r}") from None
-        mask &= inst.label_matrix[:, xi] == yi
+        mask &= inst.label_columns[xi] == yi
     return mask
 
 
@@ -476,14 +485,15 @@ def induce_prior(ens: ModelEnsemble, inst: Instance) -> Prior:
     cols = np.arange(inst.n_examples)
     mass = np.zeros(inst.n_hypotheses)
     underflow = False
-    for m in range(ens.n_members):
-        per_example = ens.probs[m][cols[None, :], inst.label_matrix]
-        term = ens.weights[m] * per_example.prod(axis=1)
+    for table, w in zip(ens.probs, ens.weights):
+        term = table[0].take(inst.label_columns[0])
+        for row, col in zip(table[1:], inst.label_columns[1:]):  # the row product's doubles
+            term *= row.take(col)
+        term *= w
         mass += term
         # a product of strictly positive factors that underflowed to 0
-        if ens.weights[m] > 0.0 and (per_example[term == 0.0] > 0.0).all(axis=1).any():
-            underflow = True
-        del term  # peak memory stays that of the plain product
+        if w > 0.0 and not underflow:
+            underflow = bool((table[cols, inst.label_matrix[term == 0.0]] > 0.0).all(axis=1).any())
     if underflow:  # redo in log space, log-sum-exp over members
         factors = ens.probs[:, cols[None, :], inst.label_matrix]
         with np.errstate(divide="ignore"):

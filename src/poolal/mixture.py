@@ -121,12 +121,13 @@ def _component_likelihood(comp: Component, xi: int, yi: int, mask: np.ndarray) -
 
 
 def _component_update(
-    comp: Component, like: float, mask: np.ndarray, xi: int, yi: int
+    comp: Component, like: float, mask: np.ndarray, xi: int, yi: int, inside=None
 ) -> Component:
     """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0."""
-    if isinstance(comp, Prior):
-        # the mask and mass core.posterior would recompute: the same doubles
-        return Prior._trusted(np.where(mask, comp.probs, 0.0) / like)
+    if isinstance(comp, Prior):  # the doubles of core.posterior; ``inside``: probs[mask], if taken
+        probs = np.zeros(comp.probs.size)
+        probs[mask] = comp.probs[mask] if inside is None else inside
+        return Prior._trusted(np.divide(probs, like, out=probs))
     # members keep their own normalizer: the dot product ``like`` may be an ulp off
     new_w = comp.weights * comp.probs[:, xi, yi]
     total = float(new_w.sum())
@@ -167,7 +168,7 @@ def mixture_marginal(state: MixtureState, x: str, y: str) -> float:
         yi = inst.label_index[y]
     except KeyError as exc:
         raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
-    mask = inst.label_matrix[:, xi] == yi
+    mask = inst.label_columns[xi] == yi
     total = 0.0
     for w, comp in state.components:
         if w != 0.0:
@@ -214,7 +215,11 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     if x in state.transcript.examples:
         raise ValueError(f"example {x!r} was already queried")
     xi, yi = inst.example_index[x], inst.label_index[y]
-    likelihoods = np.array([_component_likelihood(c, xi, yi, mask) for c in state.posteriors])
+    insides = [c.probs[mask] if isinstance(c, Prior) else None for c in state.posteriors]
+    likelihoods = np.array([  # a prior's mass inside the mask, taken once, sums to its likelihood
+        _component_likelihood(c, xi, yi, mask) if m is None else float(m.sum())
+        for c, m in zip(state.posteriors, insides)
+    ])
     new_weights = state.weights * likelihoods
     total = float(new_weights.sum())
     if total <= 0.0:
@@ -222,8 +227,8 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
             f"label {y!r} for example {x!r} has zero probability under the mixture"
         )
     new_posteriors = tuple(
-        _component_update(comp, like, mask, xi, yi) if like > 0.0 else comp  # dead: weight 0
-        for comp, like in zip(state.posteriors, likelihoods)
+        _component_update(comp, like, mask, xi, yi, m) if like > 0.0 else comp  # dead: weight 0
+        for comp, like, m in zip(state.posteriors, likelihoods, insides)
     )
     return MixtureState(
         inst,

@@ -158,7 +158,7 @@ def c_avg(p: Prior, tree: PolicyTree) -> float:
 
 
 def _split(col: list[int], V: tuple[int, ...], n_labels: int) -> tuple[tuple[int, ...], ...]:
-    """V's members per label in ``col``, a row of ``label_matrix.T.tolist()``; parts ascending."""
+    """V's members per label in ``col``, a row of ``label_columns.tolist()``; parts ascending."""
     return tuple(tuple(hi for hi in V if col[hi] == yi) for yi in range(n_labels))
 
 
@@ -204,7 +204,7 @@ def _search_rounds(
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, PolicyNode | None]] = {}
     explored = 0
     utility = _set_utility_fn(u, p, inst)
-    cols = inst.label_matrix.T.tolist()
+    cols = inst.label_columns.tolist()
 
     def leaf_value(V: tuple[int, ...]) -> float:
         # V is every member's agreement set on the queried examples
@@ -212,6 +212,22 @@ def _search_rounds(
         if worst_case:
             return v
         return sum(float(p.probs[hi]) * v for hi in V)
+
+    def expand(V: tuple[int, ...], batch: tuple[int, ...], rest: tuple[int, ...], pos: int):
+        # queries batch[pos], then the rest of the batch, then searches on with ``rest``
+        if pos == len(batch):
+            return search(V, rest)
+        xi = batch[pos]
+        agg = math.inf if worst_case else 0.0
+        children: list[PolicyNode | None] = []
+        for Vy in _split(cols[xi], V, inst.n_labels):
+            if not Vy:
+                children.append(None)
+                continue
+            val, node = expand(Vy, batch, rest, pos + 1)
+            children.append(node)
+            agg = min(agg, val) if worst_case else agg + val
+        return agg, PolicyNode(inst.examples[xi], tuple(children))
 
     def search(V: tuple[int, ...], avail: tuple[int, ...]) -> tuple[float, PolicyNode | None]:
         key = (V, avail)
@@ -224,31 +240,14 @@ def _search_rounds(
             return memo[key]
         best_val, best_node = -math.inf, None
         for batch in itertools.combinations(avail, batch_size):
-            rest = tuple(i for i in avail if i not in batch)
-
-            def expand(V2: tuple[int, ...], pos: int) -> tuple[float, PolicyNode | None]:
-                if pos == len(batch):
-                    return search(V2, rest)
-                xi = batch[pos]
-                agg = math.inf if worst_case else 0.0
-                children: list[PolicyNode | None] = []
-                for Vy in _split(cols[xi], V2, inst.n_labels):
-                    if not Vy:
-                        children.append(None)
-                        continue
-                    val, node = expand(Vy, pos + 1)
-                    children.append(node)
-                    agg = min(agg, val) if worst_case else agg + val
-                return agg, PolicyNode(inst.examples[xi], tuple(children))
-
-            val, node = expand(V, 0)
+            val, node = expand(V, batch, tuple(i for i in avail if i not in batch), 0)
             if val > best_val:
                 best_val, best_node = val, node
         memo[key] = (best_val, best_node)
         return memo[key]
 
     value, root = search(tuple(range(inst.n_hypotheses)), tuple(range(inst.n_examples)))
-    del search  # it refers to itself: a cycle that would keep memo alive until collected
+    del search, expand  # each refers to itself: cycles that would keep memo alive until collected
     return OptResult(value, PolicyTree(inst, root), explored)
 
 
@@ -295,7 +294,7 @@ def opt_min_cost(
 
     memo: dict[tuple[int, ...], tuple[float, PolicyNode | None]] = {}
     explored = 0
-    cols = inst.label_matrix.T.tolist()
+    cols = inst.label_columns.tolist()
 
     def search(V: tuple[int, ...]) -> tuple[float, PolicyNode | None]:
         # returns the support-mass-weighted remaining cost (unnormalized)
@@ -386,7 +385,7 @@ def _all_identification_nodes(
 def opt_min_cost_naive(p: Prior, inst: Instance) -> float:
     """Enumerate every identification tree over the support and take the cheapest."""
     support = tuple(p.support.tolist())
-    cols = inst.label_matrix.T.tolist()
+    cols = inst.label_columns.tolist()
     roots = _all_identification_nodes(inst, cols, support, tuple(range(inst.n_examples)))
     costs = [c_avg(p, PolicyTree(inst, root)) for root in roots]
     if not costs:  # a singleton support yields the empty tree, so this needs a pair

@@ -120,7 +120,7 @@ def _worst_gen_gibbs_gains(
     index among exact ties.
     """
     q = p.probs
-    cols = inst.label_matrix[:, candidates].T  # (C, H)
+    cols = inst.label_columns.take(candidates, axis=0)  # (C, H)
     q_in = np.where(cols[:, None, :] == np.arange(inst.n_labels)[:, None], q, 0.0)  # (C, Y, H)
     # distinct rows keyed by their bytes, in first-seen order, q first
     row_of = {q.tobytes(): 0}
@@ -190,7 +190,7 @@ def _joint_gibbs_error(p: Prior, inst: Instance, batch_idx: Sequence[int]) -> fl
     """
     codes = np.zeros(inst.n_hypotheses, dtype=np.intp)
     for xi in batch_idx:
-        codes = codes * inst.n_labels + inst.label_matrix[:, xi]
+        codes = codes * inst.n_labels + inst.label_columns[xi]
         ranks = np.cumsum(np.bincount(codes) > 0) - 1
         codes = ranks[codes]
     masses = np.bincount(codes, weights=p.probs)
@@ -281,7 +281,7 @@ def _grow_rounds(
     # queries batch[pos]; a closure made per node inside grow would be a cycle for the collector
     def within(q, V, batch, rest, rounds_left, pos):
         xi = batch[pos]
-        labels = cols[xi].take(V)  # a contiguous row; each Vy of an ascending V is ascending
+        labels = inst.label_columns[xi].take(V)  # each Vy of an ascending V is ascending
         last = pos + 1 == len(batch)
         children = []
         for yi in range(inst.n_labels):
@@ -296,9 +296,8 @@ def _grow_rounds(
                 children.append(within(q_child, Vy, batch, rest, rounds_left, pos + 1))
         return PolicyNode(inst.examples[xi], tuple(children))
 
-    cols = np.ascontiguousarray(inst.label_matrix.T)
     # idx[xi][yi]: the ascending indices of the hypotheses labeling example xi with label yi
-    idx = [[(col == yi).nonzero()[0] for yi in range(inst.n_labels)] for col in cols]
+    idx = [[(col == yi).nonzero()[0] for yi in range(inst.n_labels)] for col in inst.label_columns]
     V = np.arange(inst.n_hypotheses)
     root = None if is_leaf(p, V, n_rounds) else grow(p, V, tuple(range(inst.n_examples)), n_rounds)
     del grow, within  # a cycle between them would keep choose, and any loss it holds, alive

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -434,3 +435,35 @@ class TestOracleLeavesMatchReplay:
             if inst.n_examples >= 2:
                 r = opt_avg_batch(p, u, inst, n_rounds=1, batch_size=2)
                 assert r.value == ref_oracle_value(p, u, r.policy, worst_case=False)
+
+
+class TestNoCyclicGarbage:
+    """The exact oracles free their memo and closures by reference counting alone."""
+
+    @staticmethod
+    def cyclic_garbage(call):
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_oracles(self):
+        rng = np.random.default_rng(0)
+        inst = pl.random_instance(4, 8, 2, rng=rng)
+        p, u = pl.random_prior(inst, rng), VersionSpaceReduction()
+        for call in (
+            lambda: opt_avg(p, u, inst, 2),
+            lambda: opt_worst(p, u, inst, 2),
+            lambda: opt_min_cost(p, inst),
+            lambda: opt_avg_batch(p, u, inst, 2, 2),
+        ):
+            assert self.cyclic_garbage(call) == 0
+
+    def test_verify_unit(self, tmp_path):
+        from poolal import cli
+
+        argv = ["verify", "--trials", "1", "--seed", "3", "--out", str(tmp_path / "v.csv")]
+        assert self.cyclic_garbage(lambda: cli.main(argv)) == 0
