@@ -255,6 +255,14 @@ def cmd_verify(opts) -> int:
     failures = [r for r in reports if not r.holds]
     if failures:
         print(f"error: {len(failures)} bound reports failed", file=sys.stderr)
+        families: dict = {}  # bound -> (failures, the one with least slack), in report order
+        for r in failures:
+            count, worst = families.get(r.bound, (0, r))
+            families[r.bound] = (count + 1, min(worst, r, key=lambda f: f.slack))
+        for bound, (count, r) in families.items():
+            trial, radius = (_fmt(r.params.get(k)) or "-" for k in ("trial", "radius"))
+            print(f"error: {bound}: {count} failed, min slack {_fmt(r.slack)} (replay: --seed "
+                  f"{opts.seed}, trial {trial}, radius {radius})", file=sys.stderr)
         return 1
     return 0
 

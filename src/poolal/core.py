@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 # Normalization tolerance for probability vectors produced anywhere in
-# the package.  The instance file loader is looser (1e-6) and
-# renormalizes exactly on read.
+# the package.  The instance file loader is looser (1e-6) and renormalizes
+# only a file whose total misses 1 by more than NORM_TOL.
 NORM_TOL = 1e-9
 FILE_NORM_TOL = 1e-6
 
@@ -403,10 +403,16 @@ def l1_distance(p: Prior, q: Prior) -> float:
     return float(np.abs(p.probs - q.probs).sum())
 
 
+def _marginal_rows(inst: Instance, P: np.ndarray) -> np.ndarray:
+    """Label marginals of each row of ``P``, shape (len(P), X, Y): the stacked product is one
+    matrix-vector product a row, so each row has the bits of ``label_onehot @ row``."""
+    return (inst.label_onehot @ P[:, :, None]).reshape(len(P), inst.n_examples, inst.n_labels)
+
+
 def label_marginals(p: Prior, inst: Instance) -> np.ndarray:
     """Per-example label distribution under ``p``, shape (n_examples, n_labels)."""
     _check_prior(p, inst)
-    return (inst.label_onehot @ p.probs).reshape(inst.n_examples, inst.n_labels)
+    return _marginal_rows(inst, p.probs[None])[0]
 
 
 class ModelEnsemble:
@@ -614,4 +620,5 @@ def load_instance(path) -> tuple[Instance, Prior]:
         inst._set_labelings(tuple(ids), labelings)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
-    return inst, Prior(np.array(probs) / total)
+    arr = np.array(probs)  # within NORM_TOL of 1 by Prior's own sum, kept: reloads are exact
+    return inst, Prior(arr / total if abs(float(arr.sum()) - 1.0) > NORM_TOL else arr)

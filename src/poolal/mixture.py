@@ -126,8 +126,8 @@ def _component_update(
     """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0."""
     if isinstance(comp, Prior):  # the doubles of core.posterior; ``inside``: probs[mask], if taken
         probs = np.zeros(comp.probs.size)
-        probs[mask] = comp.probs[mask] if inside is None else inside
-        return Prior._trusted(np.divide(probs, like, out=probs))
+        probs[mask] = (comp.probs[mask] if inside is None else inside) / like  # 0 / like is 0 too
+        return Prior._trusted(probs)
     # members keep their own normalizer: the dot product ``like`` may be an ulp off
     new_w = comp.weights * comp.probs[:, xi, yi]
     total = float(new_w.sum())

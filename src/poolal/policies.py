@@ -5,6 +5,10 @@ observed label.  Trees built here are total over label outcomes; label
 branches that no hypothesis can produce are marked unreachable (no
 child).  Every tie anywhere breaks toward the lowest pool index, so
 identical inputs always yield identical trees and transcripts.
+
+Greedy trees grow a level at a time: up to X * Y node posteriors are
+scored together, from one stacked product that gives each row the bits
+of ``label_marginals``; each child's mass stays a 1-D sum of its own.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .core import (
     Instance,
     Prior,
     _check_prior,
+    _marginal_rows,
     label_marginals,
     posterior,
 )
@@ -61,11 +66,22 @@ def _entropy(row: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def select_from_marginals(
-    criterion: str,
-    marginals: np.ndarray,
-    candidates: Sequence[int],
-) -> int:
+def _row_scores(criterion: str, marginals: np.ndarray) -> np.ndarray:
+    """Every example's score in a stack of (n_examples, n_labels) marginals, higher is better;
+    on a C-ordered stack each is bitwise its scalar, or the scalar negated."""
+    m = np.ascontiguousarray(marginals)
+    if criterion == "max_gibbs":
+        return 1.0 - (m**2).sum(axis=-1)
+    if criterion == "least_confidence" or (criterion == "gbs" and m.shape[-1] != 2):
+        return -m.max(axis=-1)
+    if criterion == "max_entropy":  # summed over the positive entries only, so row by row
+        return np.array([[_entropy(r) for r in rows] for rows in m])
+    if criterion == "gbs":
+        return -np.abs(m[..., 1] - m[..., 0])
+    raise ValueError(f"criterion {criterion!r} is not marginal-computable")
+
+
+def select_from_marginals(criterion: str, marginals: np.ndarray, candidates: Sequence[int]) -> int:
     """Pick a pool index from per-example label distributions.
 
     Supports the marginal-computable criteria; ``gbs`` uses the
@@ -75,26 +91,11 @@ def select_from_marginals(
     """
     if len(candidates) == 0:
         raise ValueError("no examples available to select from")
-
-    # score rows over every example, bitwise equal to per-row scalars on C-ordered rows
-    m = np.ascontiguousarray(marginals)
-    if criterion == "max_gibbs":
-        scores, maximize = (1.0 - (m**2).sum(axis=1)).tolist(), True
-    elif criterion == "least_confidence" or (criterion == "gbs" and m.shape[1] != 2):
-        scores, maximize = m.max(axis=1).tolist(), False
-    elif criterion == "max_entropy":
-        scores, maximize = {xi: _entropy(m[xi]) for xi in candidates}, True
-    elif criterion == "gbs":
-        scores, maximize = np.abs(m[:, 1] - m[:, 0]).tolist(), False
-    else:
-        raise ValueError(f"criterion {criterion!r} is not marginal-computable")
-
-    best_xi = None
-    best = -math.inf if maximize else math.inf
+    scores = _row_scores(criterion, np.asarray(marginals)[None])[0].tolist()
+    best_xi, best = None, -math.inf
     for xi in candidates:
-        s = scores[xi]
-        if (maximize and s > best) or (not maximize and s < best):
-            best, best_xi = s, xi
+        if scores[xi] > best:
+            best, best_xi = scores[xi], xi
     if best_xi is None:
         raise ValueError(f"criterion {criterion!r} scored no candidate: marginals are not finite")
     return best_xi
@@ -232,76 +233,95 @@ def _select_batch_index(
     return tuple(batch)
 
 
-def _branch_posterior(q: Prior, V: np.ndarray, idx_xy: np.ndarray) -> Prior:
-    """Posterior handed down a label branch.
-
-    ``idx_xy`` indexes every hypothesis giving the branch's label and
-    ``V`` the branch-consistent ones, both ascending.  A positive-mass
-    branch gets the renormalized restriction of ``q``, its mass summed
-    over all of ``idx_xy``: a sum over V alone can move the last bit.  A
-    zero-mass branch, reachable only by zero-probability hypotheses,
-    falls back to uniform over V so that worst-case traversals still
-    have a well-defined selection rule below it.
-    """
-    inside = q.probs.take(idx_xy)
-    mass = float(inside.sum())
-    probs = np.zeros(q.probs.size)
-    if mass > 0.0:
-        probs[idx_xy] = inside / mass
-    else:
-        probs[V] = 1.0 / V.size
-    return Prior._trusted(probs)
+def _densify(node: np.ndarray, hyp: np.ndarray, val: np.ndarray, n: int, H: int) -> np.ndarray:
+    """Read-only dense posteriors of ``n`` frontier nodes: row ``node[k]`` holds ``val[k]`` at
+    hypothesis ``hyp[k]`` and +0.0 elsewhere, the doubles a dense branch update writes."""
+    P = np.zeros((n, H))
+    P[node, hyp] = val
+    P.setflags(write=False)
+    return P
 
 
 def _grow_rounds(
     p: Prior, inst: Instance, n_rounds: int, choose: Callable, stop_when_identified: bool = False
 ) -> PolicyTree:
-    """The one tree grower behind both greedy builders.
+    """The one tree grower behind both greedy builders, a level at a time.
 
-    Each round ``choose(q, avail)`` returns a tuple of pool indices from
-    the ascending tuple ``avail``; that batch is queried blind, in order,
-    and the tree adapts only between rounds.  A node carries V, the
-    ascending index array of its branch-consistent hypotheses, which
-    holds its posterior's support.  ``stop_when_identified`` ends a path
-    once the positive-mass version space is a singleton, read off the
-    parent's posterior: only expanded nodes get one.  Callers check
-    that ``n_rounds`` batches fit in the pool.
+    Per round ``choose(P, avail)`` gives a batch of pool indices for each row
+    of ``P``, a node's dense posterior, from the examples its ``avail`` row
+    flags; a batch, which callers check fits, is queried blind.  Between
+    levels the frontier is compact, one (node, hypothesis, value) entry per
+    branch-consistent hypothesis, and each node below the root is densified
+    once, at most X * Y rows at a time.  A child's mass is the 1-D sum of its
+    parent's row over the whole label column; a massless child is uniform
+    over its consistent set.
     """
-
-    def is_leaf(q: Prior, V: np.ndarray, rounds_left: int) -> bool:
-        # q is the posterior V was split under; a massless V would fall back to uniform
-        identified = stop_when_identified and (np.count_nonzero(q.probs.take(V)) or V.size) <= 1
-        return rounds_left == 0 or identified
-
-    def grow(q: Prior, V: np.ndarray, avail: tuple[int, ...], rounds_left: int):
-        batch = choose(q, avail)
-        rest = tuple(i for i in avail if i not in batch)
-        return within(q, V, batch, rest, rounds_left, 0)
-
-    # queries batch[pos]; a closure made per node inside grow would be a cycle for the collector
-    def within(q, V, batch, rest, rounds_left, pos):
-        xi = batch[pos]
-        labels = inst.label_columns[xi].take(V)  # each Vy of an ascending V is ascending
-        last = pos + 1 == len(batch)
-        children = []
-        for yi in range(inst.n_labels):
-            Vy = V[labels == yi]
-            if not Vy.size or (last and is_leaf(q, Vy, rounds_left - 1)):
-                children.append(None)
+    X, Y, H = inst.n_examples, inst.n_labels, inst.n_hypotheses
+    if stop_when_identified and (np.count_nonzero(p.probs) or H) <= 1:
+        return PolicyTree(inst, None)
+    columns: dict = {}  # (xi, yi): the ascending indices of the hypotheses labeling xi with yi
+    node, hyp, val = np.zeros(H, dtype=np.intp), np.arange(H), p.probs
+    avail = np.array([[True] * X])  # per node: the examples its path has not queried
+    batch, pos, rounds_left, step, levels = None, 0, n_rounds, X * Y, []
+    while True:
+        n, cuts, chunks, grown = len(avail), [0, node.size], [], []
+        if n > step:  # a chunk is a run of nodes, so order the entries by node
+            order = np.argsort(node, kind="stable")
+            node, hyp, val = node[order], hyp[order], val[order]
+            cuts[1:1] = node.searchsorted(range(step, n, step)).tolist()
+        for c, c0 in enumerate(range(0, n, step)):
+            m, e = min(step, n - c0), slice(cuts[c], cuts[c + 1])
+            loc, h, v = (node[e] - c0, hyp[e], val[e]) if n > step else (node, hyp, val)
+            P = _densify(loc, h, v, m, H) if levels else p.probs[None]
+            bt = batch[c0 : c0 + m] if pos else np.asarray(choose(P, avail[c0 : c0 + m]), np.intp)
+            xi, last, kids = bt[:, pos], pos + 1 == bt.shape[1], []
+            grown.append((xi, kids))  # per chunk: each node's example, its slots holding a child
+            if last and rounds_left == 1:  # every child is a leaf
                 continue
-            q_child = _branch_posterior(q, Vy, idx[xi][yi])
-            if last:
-                children.append(grow(q_child, Vy, rest, rounds_left - 1))
-            else:
-                children.append(within(q_child, Vy, batch, rest, rounds_left, pos + 1))
-        return PolicyNode(inst.examples[xi], tuple(children))
-
-    # idx[xi][yi]: the ascending indices of the hypotheses labeling example xi with label yi
-    idx = [[(col == yi).nonzero()[0] for yi in range(inst.n_labels)] for col in inst.label_columns]
-    V = np.arange(inst.n_hypotheses)
-    root = None if is_leaf(p, V, n_rounds) else grow(p, V, tuple(range(inst.n_examples)), n_rounds)
-    del grow, within  # a cycle between them would keep choose, and any loss it holds, alive
-    return PolicyTree(inst, root)
+            key = loc * Y + inst.label_columns[xi[loc], h]
+            size = np.bincount(key, minlength=m * Y)
+            identify = last and stop_when_identified  # leaf: one hypothesis with mass, or V of one
+            nonzero = np.bincount(key[v != 0.0], minlength=m * Y).tolist() if identify else ()
+            masses, rank, xs = [], [-1] * (m * Y), xi.tolist()
+            for k, count in enumerate(sizes := size.tolist()):
+                i, y = divmod(k, Y)
+                if count and not (identify and (nonzero[k] or count) <= 1):
+                    rank[k] = len(kids)
+                    kids.append(k)
+                    if (xs[i], y) not in columns:
+                        columns[xs[i], y] = (inst.label_columns[xs[i]] == y).nonzero()[0]
+                    masses.append(P[i].take(columns[xs[i], y]).sum())
+            child = np.array(rank)[key]
+            if len(kids) < len(sizes) - sizes.count(0):  # the leaves' entries leave the frontier
+                kept = child >= 0
+                child, h, v = child[kept], h[kept], v[kept]
+            den = np.array(masses)[child]
+            if 0.0 in masses:  # a massless child is uniform over its V
+                v, den = np.where(den == 0.0, 1.0, v), np.where(den == 0.0, size[kids][child], den)
+            parent = np.array(kids, dtype=np.intp) // Y
+            sub = avail[c0 : c0 + m][parent]
+            sub[np.arange(parent.size), xi[parent]] = False
+            if chunks:
+                child += sum(len(a) for _, _, _, a, _ in chunks)
+            chunks.append((child, h, v / den, sub, None if last else bt[parent]))
+        levels.append(grown)
+        pos = (pos + 1) % bt.shape[1]
+        rounds_left -= pos == 0
+        if not chunks:
+            break
+        node, hyp, val, avail, batch = chunks[0] if len(chunks) == 1 else (
+            None if a[0] is None else np.concatenate(a) for a in zip(*chunks)
+        )
+    below: list = []  # the next level's nodes, in order
+    for grown in reversed(levels):
+        slots, below = iter(below), []
+        for xi, kids in grown:
+            flat = [None] * (Y * len(xi))
+            for k, child in zip(kids, slots):
+                flat[k] = child
+            names = [inst.examples[x] for x in xi.tolist()]
+            below += map(PolicyNode, names, zip(*[iter(flat)] * Y))  # Y slots to a node
+    return PolicyTree(inst, below[0])
 
 
 def build_policy(
@@ -324,8 +344,12 @@ def build_policy(
         raise ValueError(f"budget must lie in [1, {inst.n_examples}], got {budget}")
     loss = _checked_loss(criterion, inst, loss)  # once per tree, not once per node
 
-    def choose(q: Prior, avail: tuple[int, ...]) -> tuple[int, ...]:
-        return (_select_index(criterion, q, inst, avail, loss),)
+    def choose(P: np.ndarray, avail: np.ndarray):
+        if criterion != "worst_gen_gibbs":  # all rows at once; argmax takes the lowest index
+            scores = _row_scores(criterion, _marginal_rows(inst, P))
+            return np.where(avail, scores, -math.inf).argmax(axis=1)[:, None]
+        rows = zip(map(Prior._trusted, P), avail)  # per node: one product with the dense loss
+        return [(_select_index(criterion, q, inst, a.nonzero()[0], loss),) for q, a in rows]
 
     return _grow_rounds(p, inst, budget, choose, stop_when_identified)
 
@@ -345,8 +369,9 @@ def build_batch_policy(
     if n_rounds * batch_size > inst.n_examples:
         raise ValueError("batch rounds exceed the pool size")
 
-    def choose(q: Prior, avail: tuple[int, ...]) -> tuple[int, ...]:
-        return _select_batch_index(q, inst, avail, batch_size)
+    def choose(P: np.ndarray, avail: np.ndarray):
+        rows = zip(map(Prior._trusted, P), avail)
+        return [_select_batch_index(q, inst, a.nonzero()[0].tolist(), batch_size) for q, a in rows]
 
     return _grow_rounds(p, inst, n_rounds, choose)
 

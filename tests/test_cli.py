@@ -180,6 +180,33 @@ class TestVerify:
         assert "failed" in err
         assert out.splitlines()[2].endswith(",false")
 
+    def test_failing_families_name_their_replay_key(self, capsys, monkeypatch):
+        from poolal import robustness
+
+        monkeypatch.setattr(robustness, "ALPHA_GREEDY", 5.0)  # no greedy tree is 5x the optimum
+        args = ("verify", "--trials", "3", "--radii", "0.1,0.3", "--seed", "4")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        failed = [row for row in rows if row[-1] == "false"]
+        lines = err.splitlines()
+        assert lines[0] == f"error: {len(failed)} bound reports failed"
+        slack_col = out.splitlines()[1].split(",").index("slack")
+        families = {}
+        for row in failed:
+            families.setdefault(row[0], []).append(row)
+        assert len(lines) == 1 + len(families)
+        for line, (bound, rows_of) in zip(lines[1:], families.items()):
+            worst = min(rows_of, key=lambda row: float(row[slack_col]))
+            assert line == (
+                f"error: {bound}: {len(rows_of)} failed, min slack {worst[slack_col]}"
+                f" (replay: --seed 4, trial {worst[1]}, radius {worst[2]})"
+            )
+        assert {"avg_vsr_max_gibbs", "worst_vsr_least_confidence"} <= set(families)
+        monkeypatch.undo()
+        code, _, clean_err = run_cli(capsys, *args)
+        assert (code, clean_err) == (0, "")  # when every bound holds, stderr stays empty
+
     def test_small_sweep_exits_clean(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--trials", "4", "--radii", "0.1,0.3", "--seed", "3"
@@ -258,6 +285,9 @@ def _component_files(tmp_path, n_x, n_h, n_y, n_components, seed, dying=False):
 
     With ``dying``, component 0 puts no mass on labelings whose x0 label
     is not the first label, so it dies once a truth shows otherwise.
+    Each file holds its draw divided by the draw's Python sum, the prior
+    the digests below were written from; the loader reads it back bit
+    for bit.
     """
     rng = np.random.default_rng(seed)
     inst = pl.random_instance(n_x, n_h, n_y, rng=rng)
@@ -268,7 +298,7 @@ def _component_files(tmp_path, n_x, n_h, n_y, n_components, seed, dying=False):
             probs[inst.label_matrix[:, 0] != 0] = 0.0
             probs /= probs.sum()
         path = tmp_path / f"component{c}.csv"
-        pl.save_instance(path, inst, pl.Prior(probs))
+        pl.save_instance(path, inst, pl.Prior(probs / sum(probs.tolist())))
         paths.append(str(path))
     return ",".join(paths)
 

@@ -324,11 +324,26 @@ class TestInstanceFile:
         path = tmp_path / "inst.csv"
         pl.save_instance(path, inst, p)
         inst2, p2 = pl.load_instance(path)
-        # the loader divides by the file's own total, which may sit an ulp off 1
-        renormalized = pl.Prior(p.probs / sum(p.probs.tolist()))
-        assert instance_text(inst2, p2) == instance_text(inst, renormalized)
+        assert instance_text(inst2, p2) == instance_text(inst, p)  # the saved prior, not an ulp off
         assert inst2.label_matrix.dtype == np.int16
         assert not inst2.label_matrix.flags.writeable
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        # a file that sums to 1 within NORM_TOL is read as written, not divided by its total
+        path = tmp_path / "inst.csv"
+        for seed in range(200):
+            inst = pl.random_instance(5, 20, 2 + seed % 2, rng=seed)
+            p = pl.random_prior(inst, seed)
+            pl.save_instance(path, inst, p)
+            inst2, p2 = pl.load_instance(path)
+            assert p2.probs.tobytes() == p.probs.tobytes()
+            assert instance_text(inst2, p2) == instance_text(inst, p)
+
+    def test_files_off_by_more_than_norm_tol_are_renormalized(self, tmp_path):
+        path = tmp_path / "inst.csv"
+        path.write_text("examples,x0\nlabels,0,1\nh,a,0.5000004,0\nh,b,0.5,1\n")
+        _, p = pl.load_instance(path)
+        np.testing.assert_array_equal(p.probs, np.array([0.5000004, 0.5]) / (0.5000004 + 0.5))
 
     def test_load_builds_no_hypothesis(self, tmp_path, monkeypatch):
         inst, components = grid_task(8, 2)

@@ -1,16 +1,18 @@
 """The greedy tree grower against a dense-mask reference, plus golden trees.
 
-``reference_tree`` is the dense-mask grower: a boolean consistent set
-per node and a boolean label mask per branch.  The package's
-index-array grower must build the same tree and hand every branch it
-expands exactly the same posterior, bit for bit, which pins both the mass
-summed over the whole label column (numpy's pairwise sum groups
+``reference_tree`` is the dense-mask grower: a depth-first recursion
+with a boolean consistent set per node and a boolean label mask per
+branch.  The package's level-at-a-time grower must build the same tree
+and densify for every node it expands below the root exactly the same
+posterior, bit for bit and in breadth-first order, which pins both the
+mass summed over the whole label column (numpy's pairwise sum groups
 elements by position, so a sum over the consistent set alone can move
 the last bit from eight elements on) and the uniform fallback over the
 branch-consistent set.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,41 +42,45 @@ def reference_branch_posterior(q, consistent, mask_xy):
 
 
 def reference_tree(p, inst, n_rounds, choose, stop_when_identified=False):
-    """(tree, the posterior of every expanded non-root node, in growth order).
+    """(tree, the posterior of every expanded non-root node, breadth first).
 
     A leaf's posterior is built here to decide that it is a leaf, then
-    dropped from the record: the package builds none for leaves.
+    dropped from the record: the package builds none for leaves.  Nodes
+    are ordered by depth, then by the label path from the root, the
+    order in which a level-at-a-time grower meets them.
     """
     made = []
 
-    def grow(q, consistent, avail, rounds_left):
+    def grow(q, consistent, avail, rounds_left, path):
         if rounds_left == 0 or (stop_when_identified and np.count_nonzero(q.probs) <= 1):
             return None
         batch = choose(q, avail)
         rest = tuple(i for i in avail if i not in batch)
 
-        def within(q2, cons2, pos):
+        def within(q2, cons2, pos, path):
             if pos == len(batch):
-                return grow(q2, cons2, rest, rounds_left - 1)
+                return grow(q2, cons2, rest, rounds_left - 1, path)
             xi = batch[pos]
             children = []
-            for mask_xy in masks[xi]:
+            for yi, mask_xy in enumerate(masks[xi]):
                 on_branch = cons2 & mask_xy
                 if not on_branch.any():
                     children.append(None)
                     continue
-                made.append(reference_branch_posterior(q2, on_branch, mask_xy))
+                where = (len(path) + 1, path + (yi,))  # depth, then label path: breadth first
+                made.append([where, reference_branch_posterior(q2, on_branch, mask_xy)])
                 slot = len(made) - 1
-                children.append(within(made[slot], on_branch, pos + 1))
+                children.append(within(made[slot][1], on_branch, pos + 1, path + (yi,)))
                 if children[-1] is None:
-                    made[slot] = None
+                    made[slot][1] = None
             return PolicyNode(inst.examples[xi], tuple(children))
 
-        return within(q, consistent, 0)
+        return within(q, consistent, 0, path)
 
     masks = inst.label_matrix.T[:, None, :] == np.arange(inst.n_labels)[:, None]
-    root = grow(p, np.ones(inst.n_hypotheses, dtype=bool), tuple(range(inst.n_examples)), n_rounds)
-    return PolicyTree(inst, root), [q for q in made if q is not None]
+    everyone = np.ones(inst.n_hypotheses, dtype=bool)
+    root = grow(p, everyone, tuple(range(inst.n_examples)), n_rounds, ())
+    return PolicyTree(inst, root), [q for _, q in sorted(made, key=lambda r: r[0]) if q is not None]
 
 
 def reference_policy(criterion, p, inst, budget, loss=None, stop_when_identified=False):
@@ -105,18 +111,31 @@ def make_prior(inst, kind, rng):
     return pl.Prior(mass / mass.sum())
 
 
+def record_densified(monkeypatch):
+    """Every posterior row the grower densifies from now on, in order."""
+    rows = []
+    real = policies._densify
+
+    def densify(*args):
+        P = real(*args)
+        rows.extend(P)
+        return P
+
+    monkeypatch.setattr(policies, "_densify", densify)
+    return rows
+
+
 def assert_same_growth(monkeypatch, build, reference):
     """``build()`` and ``reference()`` give one tree and bitwise-equal branch posteriors."""
-    made = []
-    real = policies._branch_posterior
-    monkeypatch.setattr(policies, "_branch_posterior", lambda *a: made.append(real(*a)) or made[-1])
-    tree = build()
-    monkeypatch.setattr(policies, "_branch_posterior", real)
+    with monkeypatch.context() as patch:
+        made = record_densified(patch)
+        tree = build()
     ref_tree, ref_made = reference()
     assert policy_to_text(tree) == policy_to_text(ref_tree)
     assert len(made) == len(ref_made)
     for q, ref in zip(made, ref_made):
-        assert q.probs.tobytes() == ref.probs.tobytes()  # -0.0 and +0.0 differ here
+        assert not q.flags.writeable
+        assert q.tobytes() == ref.probs.tobytes()  # -0.0 and +0.0 differ here
 
 
 def check_every_mode(monkeypatch, inst, p):
@@ -188,6 +207,59 @@ class TestAgainstDenseReference:
         )
 
 
+def widest_level(tree):
+    level, widest = [tree.root], 0
+    while level:
+        level = [c for node in level if node is not None for c in node.children if c is not None]
+        widest = max(widest, len(level))
+    return widest
+
+
+class TestWideLevels:
+    """Levels wider than the X * Y rows the grower densifies at a time."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_x, n_h, n_labels", [(6, 64, 2), (8, 256, 2), (5, 120, 3)])
+    def test_chunked_levels(self, monkeypatch, n_x, n_h, n_labels, kind):
+        rng = np.random.default_rng([n_x, n_h, n_labels])
+        inst = pl.random_instance(n_x, n_h, n_labels, rng=rng)
+        p = make_prior(inst, kind, rng)
+        gbs = build_policy("gbs", p, inst, n_x, stop_when_identified=True)
+        assert widest_level(gbs) > n_x * n_labels  # the chunk boundaries are exercised
+        for criterion in policies.CRITERIA:
+            loss = zero_one_loss(inst) if criterion == "worst_gen_gibbs" else None
+            for stop in (False, True):
+                assert_same_growth(
+                    monkeypatch,
+                    lambda: build_policy(criterion, p, inst, n_x, loss, stop),
+                    lambda: reference_policy(criterion, p, inst, n_x, loss, stop),
+                )
+        assert_same_growth(
+            monkeypatch,
+            lambda: build_batch_policy(p, inst, 2, 2),
+            lambda: reference_batch_policy(p, inst, 2, 2),
+        )
+
+
+def test_identification_tree_memory():
+    """A level holds at most X * Y dense rows at once, the size of the one-hot matrix.
+
+    At 12 x 4,096 the widest level has about 2,048 nodes; densifying it
+    whole would take 64 MB against the 0.75 MB one-hot matrix.
+    """
+    inst = pl.random_instance(12, 4096, 2, rng=7)
+    p = pl.random_prior(inst, 8)
+    onehot = inst.label_onehot  # cached before the count starts
+    tracemalloc.start()
+    try:
+        tree = build_policy("gbs", p, inst, inst.n_examples, stop_when_identified=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert widest_level(tree) > 1000
+    assert peak < 4 * onehot.nbytes
+
+
 def count_nodes(tree):
     n, stack = 0, [tree.root]
     while stack:
@@ -202,11 +274,10 @@ class TestPosteriorCount:
     """One branch posterior per expanded node below the root, none for leaves."""
 
     def assert_once_per_expanded_node(self, monkeypatch, build):
-        calls = []
-        real = policies._branch_posterior
-        monkeypatch.setattr(policies, "_branch_posterior", lambda *a: calls.append(a) or real(*a))
-        tree = build()
-        assert len(calls) == max(count_nodes(tree) - 1, 0)
+        with monkeypatch.context() as patch:
+            rows = record_densified(patch)
+            tree = build()
+        assert len(rows) == max(count_nodes(tree) - 1, 0)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(6))

@@ -15,18 +15,44 @@ import poolal as pl
 from poolal import policies
 from poolal.core import NORM_TOL
 from poolal.mixture import _component_update, grid_task, initial_state, mixture_observe
-from poolal.policies import _branch_posterior, build_batch_policy, build_policy
+from poolal.policies import _grow_rounds, build_batch_policy, build_policy
 from poolal.utilities import hamming_loss, zero_one_loss
 
 
-def assert_trusted(prior):
-    """``prior`` is what public ``Prior`` makes of the same array, bit for bit."""
-    checked = pl.Prior(prior.probs)
-    assert np.array_equal(prior.probs, checked.probs)
-    assert prior.probs.dtype == np.float64
-    assert np.all(prior.probs >= 0.0)
-    assert abs(float(prior.probs.sum()) - 1.0) <= NORM_TOL
-    assert not prior.probs.flags.writeable
+def assert_trusted(probs):
+    """``probs`` is what public ``Prior`` makes of the same array, bit for bit."""
+    checked = pl.Prior(probs)
+    assert np.array_equal(probs, checked.probs)
+    assert probs.dtype == np.float64
+    assert np.all(probs >= 0.0)
+    assert abs(float(probs.sum()) - 1.0) <= NORM_TOL
+    assert not probs.flags.writeable
+
+
+def record_densified(monkeypatch):
+    """Every posterior row the tree grower densifies from now on, in order."""
+    rows = []
+    real = policies._densify
+
+    def densify(*args):
+        P = real(*args)
+        rows.extend(P)
+        return P
+
+    monkeypatch.setattr(policies, "_densify", densify)
+    return rows
+
+
+def grower_branches(p, inst, xi):
+    """The grower's posterior on each label branch of example ``xi``, in label order.
+
+    One blind round queries ``xi`` twice, so every branch of the first
+    query is expanded, and densified, exactly once.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        rows = record_densified(patch)
+        _grow_rounds(p, inst, 1, lambda P, avail: [(xi, xi)] * len(P))
+    return rows
 
 
 def case_with_zero_mass(seed, n_labels):
@@ -46,25 +72,27 @@ def check_every_branch(inst, p):
     """Every one-step posterior of ``p``, through all three trusted paths."""
     comp_state = initial_state(inst, [p])
     for xi, x in enumerate(inst.examples):
+        branches = iter(grower_branches(p, inst, xi))
         for yi, y in enumerate(inst.labels):
             mask = inst.label_matrix[:, xi] == yi
             if not mask.any():
                 continue
             mass = float(p.probs[mask].sum())
-            branch = _branch_posterior(p, np.flatnonzero(mask), np.flatnonzero(mask))
+            branch = next(branches)
             assert_trusted(branch)
             if mass == 0.0:  # the uniform fallback over the branch
-                np.testing.assert_array_equal(branch.probs, np.where(mask, 1.0, 0.0) / mask.sum())
+                np.testing.assert_array_equal(branch, np.where(mask, 1.0, 0.0) / mask.sum())
                 continue
             expected = pl.Prior(np.where(mask, p.probs, 0.0) / mass)
             for derived in (
                 branch,
-                pl.posterior(p, inst, [(x, y)]),
-                _component_update(p, mass, mask, xi, yi),
-                mixture_observe(comp_state, x, y).posteriors[0],
+                pl.posterior(p, inst, [(x, y)]).probs,
+                _component_update(p, mass, mask, xi, yi).probs,
+                mixture_observe(comp_state, x, y).posteriors[0].probs,
             ):
                 assert_trusted(derived)
-                assert np.array_equal(derived.probs, expected.probs)
+                assert np.array_equal(derived, expected.probs)
+        assert next(branches, None) is None
 
 
 class TestTrustedPriors:
@@ -80,17 +108,14 @@ class TestTrustedPriors:
 
     def test_zero_mass_branch_falls_back_to_uniform(self, square):
         p = pl.Prior([0.5, 0.5, 0.0, 0.0])  # x1 = 1 has no mass
-        mask = square.label_matrix[:, 1] == 1
-        branch = _branch_posterior(p, np.flatnonzero(mask), np.flatnonzero(mask))
+        _, branch = grower_branches(p, square, 1)
         assert_trusted(branch)
-        np.testing.assert_array_equal(branch.probs, [0.0, 0.0, 0.5, 0.5])
+        np.testing.assert_array_equal(branch, [0.0, 0.0, 0.5, 0.5])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_branch_of_grown_trees(self, monkeypatch, seed):
         inst, p = case_with_zero_mass(seed, 2 + seed % 2)
-        seen = []
-        real = policies._branch_posterior
-        monkeypatch.setattr(policies, "_branch_posterior", lambda *a: seen.append(real(*a)) or seen[-1])
+        seen = record_densified(monkeypatch)
         for criterion in ("max_gibbs", "least_confidence", "gbs", "worst_gen_gibbs"):
             build_policy(criterion, p, inst, inst.n_examples)
         build_batch_policy(p, inst, 1, inst.n_examples)
