@@ -3,6 +3,8 @@
 f_avg, f_worst and c_avg route all hypotheses down the tree at once and
 evaluate the utility once per leaf, whose hypotheses share one agreement
 set: O(H * depth).  Greedy trees build posteriors only for nodes they expand.
+Under the built-in 0-1 loss, f_worst evaluates only the leaves that a
+rigorous bound on every leaf's pair mass cannot rule out of the min.
 
 Three oracles: maximum expected utility, maximum worst-case utility,
 and minimum expected identification cost.  They exist to verify
@@ -24,7 +26,7 @@ import numpy as np
 
 from .core import Instance, Prior, _check_prior
 from .policies import PolicyNode, PolicyTree, policy_to_text
-from .utilities import Utility, _set_utility_fn
+from .utilities import GeneralizedReduction, Utility, _pair_mass_bounds, _set_utility_fn
 
 EXAMPLE_CAP = 6
 HYPOTHESIS_CAP = 16
@@ -127,8 +129,19 @@ def f_worst(p: Prior, u: Utility, tree: PolicyTree) -> float:
     The min ranges over all hypotheses in the instance, including
     zero-probability ones.  Like :func:`f_avg`, one tree walk with one
     utility evaluation per leaf, O(H * depth).
+
+    Under the 0-1 loss a leaf's value, total − q_in L q_in, falls as its
+    pair mass grows, rounded or not.  Only leaves whose pair-mass upper
+    bound (``_pair_mass_bounds`` of per-leaf sums of q and q²) reaches the
+    greatest lower bound can hold the min, so only they are evaluated.
     """
-    return min(_leaf_utilities(p, u, tree))
+    if not (isinstance(u, GeneralizedReduction) and u.loss._zero_one):
+        return min(_leaf_utilities(p, u, tree))
+    _check_prior(p, tree.instance)
+    value, key, q = _set_utility_fn(u, p, tree.instance), _route(tree)[0], p.probs
+    lo, hi = _pair_mass_bounds(np.bincount(key, q), np.bincount(key, q * q), q.size)
+    hi[np.bincount(key) == 0] = -math.inf  # slots no hypothesis reaches; their lo is <= 0
+    return min(value(np.flatnonzero(key == k)) for k in np.flatnonzero(hi >= lo.max()).tolist())
 
 
 def c_avg(p: Prior, tree: PolicyTree) -> float:

@@ -9,6 +9,8 @@ identical inputs always yield identical trees and transcripts.
 Greedy trees grow a level at a time: up to X * Y node posteriors are
 scored together, from one stacked product that gives each row the bits
 of ``label_marginals``; each child's mass stays a 1-D sum of its own.
+Under the built-in 0-1 loss a rounding-error bound on closed-form pair masses
+certifies most ``worst_gen_gibbs`` picks; only the rest pay the dense loss product.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     label_marginals,
     posterior,
 )
-from .utilities import LossMatrix, _check_loss, zero_one_loss
+from .utilities import LossMatrix, _check_loss, _pair_mass_bounds, zero_one_loss
 
 CRITERIA = ("max_gibbs", "least_confidence", "max_entropy", "gbs", "worst_gen_gibbs")
 
@@ -132,6 +134,35 @@ def _worst_gen_gibbs_gains(
     return pair_mass[0] - pair_mass[inverse].reshape(len(candidates), inst.n_labels).max(axis=1)
 
 
+def _worst_gen_gibbs_picks(
+    inst: Instance, P: np.ndarray, avail: np.ndarray, loss: LossMatrix
+) -> np.ndarray:
+    """Each row's ``worst_gen_gibbs`` pick among the examples its ``avail`` row flags.
+
+    Under the 0-1 loss, ``_pair_mass_bounds`` bounds the pair mass of every label branch, and
+    of the row (each example's branch sums, summed), from two stacked products.  Rounding is
+    monotone, so each gain of ``_worst_gen_gibbs_gains`` lies in [lo_row − max hi, hi_row −
+    max lo] on any BLAS kernel, and a candidate whose lower end beats every other upper end is
+    its argmax.  Other rows (exact ties among them) and other losses take that argmax.
+    """
+    picks = np.full(len(P), -1)
+    if loss._zero_one:
+        sums = _marginal_rows(inst, np.concatenate([P, P * P])).reshape(2, *avail.shape, -1)
+        sums = np.concatenate([sums, sums.sum(axis=3, keepdims=True)], axis=3)  # + the row's
+        lo, hi = _pair_mass_bounds(*sums, inst.n_hypotheses)  # (rows, X, Y + 1)
+        gain_lo = np.where(avail, lo[..., -1] - hi[..., :-1].max(axis=2), -math.inf)
+        gain_hi = np.where(avail, hi[..., -1] - lo[..., :-1].max(axis=2), -math.inf)
+        rows, best = np.arange(len(P)), gain_lo.argmax(axis=1)
+        gain_hi[rows, best] = -math.inf
+        picks = np.where(gain_lo[rows, best] > gain_hi.max(axis=1), best, -1)
+    for i, pick in enumerate(picks.tolist()):
+        if pick < 0:
+            candidates = avail[i].nonzero()[0]
+            gains = _worst_gen_gibbs_gains(Prior._trusted(P[i]), inst, candidates, loss)
+            picks[i] = candidates[np.argmax(gains)]
+    return picks
+
+
 def _candidates(inst: Instance, available: Iterable[str]) -> list[int]:
     """Ascending pool indices of ``available``; unknown names raise ValueError."""
     try:
@@ -145,8 +176,8 @@ def _select_index(
 ) -> int:
     """``select`` on ascending pool indices, for a known criterion and a ``_checked_loss``."""
     if criterion == "worst_gen_gibbs":
-        gains = _worst_gen_gibbs_gains(q, inst, candidates, loss)
-        return candidates[int(np.argmax(gains))]
+        avail = np.bincount(candidates, minlength=inst.n_examples)[None] > 0
+        return int(_worst_gen_gibbs_picks(inst, q.probs[None], avail, loss)[0])
     return select_from_marginals(criterion, label_marginals(q, inst), candidates)
 
 
@@ -345,11 +376,10 @@ def build_policy(
     loss = _checked_loss(criterion, inst, loss)  # once per tree, not once per node
 
     def choose(P: np.ndarray, avail: np.ndarray):
-        if criterion != "worst_gen_gibbs":  # all rows at once; argmax takes the lowest index
-            scores = _row_scores(criterion, _marginal_rows(inst, P))
-            return np.where(avail, scores, -math.inf).argmax(axis=1)[:, None]
-        rows = zip(map(Prior._trusted, P), avail)  # per node: one product with the dense loss
-        return [(_select_index(criterion, q, inst, a.nonzero()[0], loss),) for q, a in rows]
+        if criterion == "worst_gen_gibbs":
+            return _worst_gen_gibbs_picks(inst, P, avail, loss)[:, None]
+        scores = _row_scores(criterion, _marginal_rows(inst, P))  # argmax takes the lowest index
+        return np.where(avail, scores, -math.inf).argmax(axis=1)[:, None]
 
     return _grow_rounds(p, inst, budget, choose, stop_when_identified)
 

@@ -35,6 +35,7 @@ class LossMatrix:
 
     values: np.ndarray
     bound: float = 0.0
+    _zero_one = False  # not a field; set by zero_one_loss only: its pair masses have a closed form
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -42,12 +43,7 @@ class LossMatrix:
             raise ValueError("loss matrix must be square")
         if not np.all(np.isfinite(arr)):
             raise ValueError("losses must be finite")
-        if np.any(arr < 0):
-            raise ValueError("losses must be nonnegative")
-        if np.any(np.abs(arr - arr.T) > 1e-9):
-            raise ValueError("loss matrix must be symmetric (tolerance 1e-9)")
-        if np.any(np.diag(arr) != 0):
-            raise ValueError("self-loss must be exactly 0")
+        _check_entries(arr)
         bound = float(self.bound) if self.bound else float(arr.max(initial=0.0))
         if not np.isfinite(bound):
             raise ValueError(f"loss bound must be finite, got {bound!r}")
@@ -58,20 +54,49 @@ class LossMatrix:
         object.__setattr__(self, "bound", bound)
 
     @classmethod
-    def _trusted(cls, arr: np.ndarray, bound: float) -> "LossMatrix":
+    def _trusted(cls, arr: np.ndarray, bound: float, zero_one: bool = False) -> "LossMatrix":
         """Wrap ``arr`` unchecked and uncopied: for losses valid by construction only."""
         arr.setflags(write=False)
         loss = object.__new__(cls)
         object.__setattr__(loss, "values", arr)
         object.__setattr__(loss, "bound", bound)
+        object.__setattr__(loss, "_zero_one", zero_one)
         return loss
+
+
+def _check_entries(arr: np.ndarray, line_nos: list[int] | None = None) -> None:
+    """Raise on a square finite loss array's first failed check, at its first bad row's line."""
+    for message, bad in (
+        ("losses must be nonnegative", (arr < 0).any(1)),
+        ("loss matrix must be symmetric (tolerance 1e-9)", (np.abs(arr - arr.T) > 1e-9).any(1)),
+        ("self-loss must be exactly 0", np.diag(arr) != 0),
+    ):
+        if bad.any():
+            raise ValueError(f"line {line_nos[bad.argmax()]}: {message}" if line_nos else message)
 
 
 def zero_one_loss(inst: Instance) -> LossMatrix:
     """1 whenever two labelings differ anywhere, else 0 (m = 1)."""
     values = np.ones((inst.n_hypotheses, inst.n_hypotheses))
     np.fill_diagonal(values, 0.0)
-    return LossMatrix._trusted(values, 1.0)
+    return LossMatrix._trusted(values, 1.0, zero_one=True)
+
+
+def _pair_mass_bounds(s: np.ndarray, ss: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) on the double any BLAS kernel gives for vᵀLv under the 0-1 loss L, from
+    float sums s of v and ss of v*v (any order; elementwise), for v >= 0 of n entries.
+
+    With S = Σv exactly, vᵀLv = S² − Σv² (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3-4; γ_k = ku/(1 − ku), u = 2⁻⁵³).  The products in ``v @ L`` are exact and each entry
+    sums at most n − 1 of them; the dot with v adds n rounded products.  So the BLAS double is
+    within γ_2n·S² + n·2⁻¹⁰⁷⁴ of vᵀLv (the last term for underflow), the float s² − ss within
+    γ_{3n+4}·S² + n·2⁻¹⁰⁷⁴, and S <= s·(1 + γ_n).  lo, hi = s² − ss ∓ twice their sum: the
+    factor 2 covers the rounding of this arithmetic.
+    """
+    g = [k * 2.0**-53 / (1 - k * 2.0**-53) for k in (2 * n, 3 * n + 4, n)]
+    sq = s * s
+    err = 2 * (g[0] + g[1]) * (1 + g[2]) ** 2 * sq + 4 * n * 2.0**-1074
+    return sq - ss - err, sq - ss + err
 
 
 def hamming_loss(inst: Instance) -> LossMatrix:
@@ -83,7 +108,7 @@ def hamming_loss(inst: Instance) -> LossMatrix:
 
 def load_loss_matrix(path, inst: Instance | None = None) -> LossMatrix:
     """Read a comma-separated loss matrix in hypothesis order; errors name the line."""
-    rows: list[list[float]] = []
+    rows: dict[int, list[float]] = {}  # keyed by file line
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -92,17 +117,19 @@ def load_loss_matrix(path, inst: Instance | None = None) -> LossMatrix:
                 row = [float(v) for v in line.strip().split(",")]
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
-            width = len(rows[0]) if rows else len(row)
+            width = len(next(iter(rows.values()), row))
             if len(row) != width:
                 raise ValueError(f"line {line_no}: expected {width} entries, got {len(row)}")
             if not all(math.isfinite(v) for v in row):
                 raise ValueError(f"line {line_no}: non-finite loss in {line.strip()!r}")
-            rows.append(row)
-    arr = np.array(rows, dtype=float)
+            rows[line_no] = row
+    arr = np.array(list(rows.values()), dtype=float)
     if inst is not None and arr.shape != (inst.n_hypotheses, inst.n_hypotheses):
         raise ValueError(
             f"loss matrix is {arr.shape}, instance has {inst.n_hypotheses} hypotheses"
         )
+    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:  # else LossMatrix names the shape
+        _check_entries(arr, list(rows))
     return LossMatrix(arr)
 
 

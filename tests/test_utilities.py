@@ -63,6 +63,18 @@ class TestLossMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             load_loss_matrix(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,1\n-1,0\n", "line 2: losses must be nonnegative"),
+        ("0,1,1\n1,0,1\n\n1,2,0\n", r"line 2: loss matrix must be symmetric \(tolerance 1e-9\)"),
+        ("0,1\n\n1,0.5\n", "line 3: self-loss must be exactly 0"),
+    ])
+    def test_file_entry_checks_report_line(self, tmp_path, text, message):
+        # the line of the first row holding an offending entry, blank lines counted
+        path = tmp_path / "loss.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_loss_matrix(path)
+
     def test_file_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("0,1\n\nzz,0\n")
