@@ -6,7 +6,11 @@ predictive probabilities for the observed label and each posterior does
 its own Bayes update, so the state is an incremental factorization of
 the posterior under the flattened mixture prior.  Components may be
 deterministic (a prior over labelings) or probabilistic (a weighted
-ensemble of per-example predictors).
+ensemble of per-example predictors).  Picks and predicted labels are
+certified from one product of the flattened posterior Σ w·q plus a
+rounding-error bound that holds for any summation order
+(``MixtureState._bounds``); only what it cannot separate, exact ties
+included, reads the dense per-component table, so no decision changes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .core import (
     induce_prior,
     label_marginals,
 )
-from .policies import select_from_marginals
+from .policies import _row_scores, select_from_marginals
 
 # Probabilistic components reuse the ensemble type: the member weights are
 # the posterior over predictors and update by Bayes' rule like everything
@@ -78,6 +82,30 @@ class MixtureState:
         marg.setflags(write=False)
         return marg
 
+    @functools.cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (lo, hi) on every entry of ``_marginals`` on any BLAS kernel, from one product
+        of the flattened posterior (Higham, Accuracy and Stability of Numerical Algorithms,
+        ch. 3-4; γ_n = nu/(1 − nu), u = 2⁻⁵³; k live components, H hypotheses).  A table entry
+        is ``out += w * t`` over the live components in order, each t summing at most H exact
+        products (the one-hot entries are 0 or 1): Σ w·T·(1 + θ), |θ| <= γ_{H+k}, T exact.  The
+        float m = (Σ w·q) @ onehot, plus each ensemble's ``w * table``, is within γ_{H+2k+1} of
+        the same sum.  Products that underflow move the two by at most (H + 2)·k·2⁻¹⁰⁷⁵, so the
+        entry lies in [m(1 − δ) − τ, m(1 + δ) + τ], δ = 2(γ_{H+k} + γ_{H+2k+1}) and
+        τ = 2(H + 1)·k·2⁻¹⁰⁷⁴: the factors 2 cover the rounding of this arithmetic.
+        """
+        inst, live = self.instance, [(w, c) for w, c in self.components if w != 0.0]
+        m = np.zeros((inst.n_examples, inst.n_labels))
+        if any(isinstance(c, Prior) for _, c in live):
+            m = label_marginals(Prior._trusted(_flat_mass(live, inst.n_hypotheses)), inst)
+        for w, comp in live:
+            if not isinstance(comp, Prior):
+                m += w * _component_marginals(comp, inst)
+        n, k = inst.n_hypotheses, len(live)
+        delta = 2 * sum(j * 2.0**-53 / (1 - j * 2.0**-53) for j in (n + k, n + 2 * k + 1))
+        tau = 2 * (n + 1) * k * 2.0**-1074
+        return np.maximum(m * (1 - delta) - tau, 0.0), m * (1 + delta) + tau
+
 
 def initial_state(
     inst: Instance,
@@ -112,8 +140,8 @@ def _component_marginals(comp: Component, inst: Instance) -> np.ndarray:
 def _component_likelihood(comp: Component, xi: int, yi: int, mask: np.ndarray) -> float:
     """One component's probability that example ``xi`` carries label ``yi``.
 
-    ``mask`` flags the hypotheses labeling ``xi`` with ``yi``; a prior
-    sums its mass there, an ensemble averages its members' predictions.
+    ``mask`` flags (or lists) the hypotheses labeling ``xi`` with ``yi``; a
+    prior sums its mass there, an ensemble averages its members' predictions.
     """
     if isinstance(comp, Prior):
         return float(comp.probs[mask].sum())
@@ -156,6 +184,7 @@ def mixture_marginals(state: MixtureState, use_map: bool = False) -> np.ndarray:
     """Weighted per-example label distributions of the mixture, shape (X, Y).
 
     The exact table is computed once per state and shared, read-only.
+    Picks and predictions read it only where ``MixtureState._bounds`` cannot.
     """
     return _weighted_marginals(state, use_map=True) if use_map else state._marginals
 
@@ -164,8 +193,7 @@ def mixture_marginal(state: MixtureState, x: str, y: str) -> float:
     """Mixture probability that ``x`` carries label ``y``."""
     inst = state.instance
     try:
-        xi = inst.example_index[x]
-        yi = inst.label_index[y]
+        xi, yi = inst.example_index[x], inst.label_index[y]
     except KeyError as exc:
         raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
     mask = inst.label_columns[xi] == yi
@@ -198,8 +226,10 @@ def map_approx_marginal(state: MixtureState, i: int, x: str, y: str) -> float:
     if not 0 <= i < state.n_components:
         raise ValueError(f"component index {i} out of range")
     inst = state.instance
-    xi = inst.example_index[x]
-    yi = inst.label_index[y]
+    try:
+        xi, yi = inst.example_index[x], inst.label_index[y]
+    except KeyError as exc:
+        raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
     return float(_map_component_marginals(state, i)[xi, yi])
 
 
@@ -211,13 +241,13 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     zero keep their old posterior at weight zero.
     """
     inst = state.instance
-    mask = _consistent_mask(inst, [(x, y)])  # rejects an unknown example or label
+    idx = np.flatnonzero(_consistent_mask(inst, [(x, y)]))  # rejects an unknown example or label
     if x in state.transcript.examples:
         raise ValueError(f"example {x!r} was already queried")
     xi, yi = inst.example_index[x], inst.label_index[y]
-    insides = [c.probs[mask] if isinstance(c, Prior) else None for c in state.posteriors]
+    insides = [c.probs.take(idx) if isinstance(c, Prior) else None for c in state.posteriors]
     likelihoods = np.array([  # a prior's mass inside the mask, taken once, sums to its likelihood
-        _component_likelihood(c, xi, yi, mask) if m is None else float(m.sum())
+        _component_likelihood(c, xi, yi, idx) if m is None else float(m.sum())
         for c, m in zip(state.posteriors, insides)
     ])
     new_weights = state.weights * likelihoods
@@ -227,7 +257,7 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
             f"label {y!r} for example {x!r} has zero probability under the mixture"
         )
     new_posteriors = tuple(
-        _component_update(comp, like, mask, xi, yi, m) if like > 0.0 else comp  # dead: weight 0
+        _component_update(comp, like, idx, xi, yi, m) if like > 0.0 else comp  # dead: weight 0
         for comp, like, m in zip(state.posteriors, likelihoods, insides)
     )
     return MixtureState(
@@ -247,28 +277,53 @@ def mixture_step(
 ) -> MixtureState:
     """Select one example by ``criterion`` on the mixture marginals and observe it.
 
-    ``use_map`` applies the mode approximation to the selection
-    criterion only; the weight and posterior updates always use the
-    exact predictive probabilities.
+    The pick is certified from ``MixtureState._bounds`` or read from the dense
+    table.  ``use_map`` applies the mode approximation to the selection only;
+    the weight and posterior updates use the exact predictive probabilities.
     """
     inst = state.instance
     queried = set(state.transcript.examples)
     candidates = [i for i, x in enumerate(inst.examples) if x not in queried]
     if not candidates:
         raise ValueError("no unqueried examples remain")
-    marg = mixture_marginals(state, use_map=use_map)
-    xi = select_from_marginals(criterion, marg, candidates)
-    x = inst.examples[xi]
+    x = inst.examples[_pick(state, criterion, candidates, use_map)]
     return mixture_observe(state, x, oracle(x))
 
 
 def mixture_predict(state: MixtureState, x: str, use_map: bool = False) -> str:
-    """Label with the highest mixture marginal at ``x`` (lowest index on ties)."""
+    """Label with the highest mixture marginal at ``x`` (lowest index on ties): certified
+    from ``MixtureState._bounds`` where it can be, else read from the dense table."""
     inst = state.instance
     if x not in inst.example_index:
         raise ValueError(f"unknown example {x!r}")
-    marg = mixture_marginals(state, use_map=use_map)[inst.example_index[x]]
-    return inst.labels[int(np.argmax(marg))]
+    return inst.labels[int(_argmax_labels(state, [inst.example_index[x]], use_map)[0])]
+
+
+def _pick(state: MixtureState, criterion: str, candidates: list[int], use_map: bool) -> int:
+    """``select_from_marginals`` on the dense table, certified from ``state._bounds`` when the
+    criterion's score never rises with a marginal (rounding is monotone, so scoring hi and lo
+    brackets the table's score) and one candidate's lower end beats every other's upper end."""
+    if criterion in ("max_gibbs", "least_confidence") and not use_map:
+        lo, hi = state._bounds
+        low, high = _row_scores(criterion, np.stack([hi, lo]))[:, candidates]
+        best = int(low.argmax())
+        if low[best] > np.delete(high, best).max(initial=-math.inf):
+            return candidates[best]
+    return select_from_marginals(criterion, mixture_marginals(state, use_map), candidates)
+
+
+def _argmax_labels(state: MixtureState, rows: list[int], use_map: bool = False) -> np.ndarray:
+    """``np.argmax`` over each row of the dense table, certified from ``state._bounds`` for
+    every row whose lo at one label is above its hi at every other label."""
+    if use_map:
+        return np.argmax(mixture_marginals(state, True)[rows], axis=1)
+    lo, hi = (b[rows] for b in state._bounds)
+    labels, r = lo.argmax(axis=1), np.arange(len(rows))
+    top, hi[r, labels] = lo[r, labels], -math.inf
+    open_ = ~(top > hi.max(axis=1))
+    if open_.any():
+        labels[open_] = np.argmax(mixture_marginals(state)[rows][open_], axis=1)
+    return labels
 
 
 def run_mixture(
@@ -293,10 +348,16 @@ def flattened_prior(state: MixtureState) -> Prior:
     """The weighted sum of deterministic component posteriors as one prior."""
     if not all(isinstance(c, Prior) for c in state.posteriors):
         raise TypeError("flattening requires deterministic (prior) components")
-    mix = np.zeros(state.instance.n_hypotheses)
-    for w, comp in state.components:
-        mix += w * comp.probs
-    return Prior(mix)
+    return Prior(_flat_mass(state.components, state.instance.n_hypotheses))
+
+
+def _flat_mass(components, n: int) -> np.ndarray:
+    """Σ w·q over the prior components, in order, accumulated in one buffer."""
+    flat, term = np.zeros(n), np.empty(n)
+    for w, comp in components:
+        if isinstance(comp, Prior):
+            flat += np.multiply(comp.probs, w, out=term)
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +458,7 @@ def mixture_trajectories(
                 unqueried = [i for i, ex in enumerate(inst.examples) if ex not in queried]
                 accuracy = 1.0
                 if unqueried:
-                    predictions = np.argmax(mixture_marginals(state)[unqueried], axis=1)
-                    accuracy = float((predictions == actual[unqueried]).mean())
+                    accuracy = float((_argmax_labels(state, unqueried) == actual[unqueried]).mean())
                 x, y = state.transcript.pairs[-1]
                 rows.append((s, method, step, x, y, state.weights.copy(), accuracy))
             accuracies.append(accuracy)

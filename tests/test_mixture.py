@@ -181,6 +181,20 @@ class TestMapApproximation:
         assert exact[0, 0] == pytest.approx(0.6)
         assert approx[0, 0] == 1.0
 
+    def test_unknown_example_rejected_like_mixture_marginal(self, square):
+        state = initial_state(square, [pl.uniform_prior(square)])
+        with pytest.raises(ValueError, match="unknown example or label 'nope'"):
+            map_approx_marginal(state, 0, "nope", "0")
+        with pytest.raises(ValueError, match="unknown example or label 'nope'"):
+            mixture_marginal(state, "nope", "0")
+
+    def test_unknown_label_rejected_like_mixture_marginal(self, square):
+        state = initial_state(square, [pl.uniform_prior(square)])
+        with pytest.raises(ValueError, match="unknown example or label '7'"):
+            map_approx_marginal(state, 0, "x0", "7")
+        with pytest.raises(ValueError, match="unknown example or label '7'"):
+            mixture_marginal(state, "x0", "7")
+
 
 class TestProbabilisticComponents:
     def test_member_reweighting(self, square):
