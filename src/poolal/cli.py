@@ -2,9 +2,14 @@
 
 Every command is deterministic given its flags (including the seed) and
 writes its output in one shot, so interrupted runs leave no partial
-files.  A flat ``key=value`` config file can supply any long option;
-explicit flags win.  Relative output paths resolve against
-``POOLAL_OUTPUT_DIR`` when that variable is set.
+files.  Options and defaults are declared once, in ``_COMMANDS``.  A
+flat ``key=value`` config file can set any long option of its command
+but ``config``: each line becomes a ``--key=value`` flag ahead of the
+explicit ones, which win.  Its values get the flags' checks, switches
+take true/false/1/0/yes/no/on/off, and a bad value or a key that is not
+an option of the command is an error naming ``file:line``.  Relative
+output paths resolve against ``POOLAL_OUTPUT_DIR`` when that variable is
+set.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .core import (
 )
 from .mixture import grid_task, mixture_trajectories
 from .optimal import _leaves, opt_avg, opt_min_cost, opt_worst
-from .policies import build_policy, run_policy
+from .policies import CRITERIA, build_policy, run_policy
 from .robustness import counterexample_instance, sweep_reports
 from .utilities import (
     GeneralizedReduction,
@@ -64,8 +69,9 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _load_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def _load_config(path: str) -> list[tuple[str, str, str]]:
+    """(key, value, "path:line") for each ``key=value`` line of a config file."""
+    entries = []
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
@@ -74,38 +80,8 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{i}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
-
-
-# config-value types for options whose default is None
-_NONE_TYPES = {"budget": int}
-
-
-def _coerce(key: str, raw: str, like):
-    if like is None:
-        like = _NONE_TYPES.get(key, str)()
-    if isinstance(like, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
-
-
-def _resolve(args: argparse.Namespace, defaults: dict):
-    """Merge flag values, config-file values, and defaults (in that order)."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None and key in cfg:
-            value = _coerce(key, cfg[key], default)
-        if value is None:
-            value = default
-        merged[key] = value
-    return argparse.Namespace(**merged)
+            entries.append((key.strip(), value.strip(), f"{path}:{i}"))
+    return entries
 
 
 def _write_output(out: str | None, text: str) -> None:
@@ -128,30 +104,26 @@ def _write_output(out: str | None, text: str) -> None:
 
 def _instance_from_opts(opts) -> tuple:
     """(instance, prior) from --instance, or a seeded synthetic spec."""
-    if getattr(opts, "instance", None):
+    if opts.instance:
         return load_instance(opts.instance)
-    spec = getattr(opts, "synthetic", None)
-    if not spec:
+    if not opts.synthetic:
         raise ValueError("provide --instance FILE or --synthetic X,H,Y")
     try:
-        n_x, n_h, n_y = (int(v) for v in spec.split(","))
+        n_x, n_h, n_y = (int(v) for v in opts.synthetic.split(","))
     except ValueError:
-        raise ValueError(f"bad synthetic spec {spec!r}, expected X,H,Y") from None
+        raise ValueError(f"bad synthetic spec {opts.synthetic!r}, expected X,H,Y") from None
     rng = np.random.default_rng(opts.seed)
     inst = random_instance(n_x, n_h, n_y, rng=rng)
     return inst, random_prior(inst, rng)
 
 
 def _utility_from_opts(opts, inst):
-    kind = opts.utility
-    if kind == "version-space":
+    if opts.utility == "version-space":
         return VersionSpaceReduction()
-    if kind == "generalized":
+    if opts.utility == "generalized":
         loss = hamming_loss(inst) if opts.loss == "hamming" else zero_one_loss(inst)
         return GeneralizedReduction(loss)
-    if kind == "pruning":
-        return PruningCount(opts.mu)
-    raise ValueError(f"unknown utility {kind!r}")
+    return PruningCount(opts.mu)  # --utility's choices leave only "pruning"
 
 
 def _fmt(value) -> str:
@@ -243,7 +215,7 @@ def cmd_verify(opts) -> int:
     if opts.counterexample:
         return cmd_counterexample(opts)
     try:
-        radii = tuple(float(r) for r in str(opts.radii).split(","))
+        radii = tuple(float(r) for r in opts.radii.split(","))
         reports = sweep_reports(
             n_instances=opts.trials, radii=radii, seed=opts.seed, budget=opts.budget
         )
@@ -268,8 +240,8 @@ def cmd_verify(opts) -> int:
 
 
 def _mixture_components(opts):
-    if getattr(opts, "component_files", None):
-        paths = [p for p in str(opts.component_files).split(",") if p]
+    if opts.component_files:
+        paths = [p for p in opts.component_files.split(",") if p]
         loaded = [load_instance(p) for p in paths]
         inst = loaded[0][0]
         for other, _ in loaded[1:]:
@@ -323,27 +295,55 @@ def cmd_gen_instance(opts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Options: each command's flags in --help order, as {flag: argparse keywords}
 
+_SEED = {"--seed": dict(type=int, default=0)}
+_MU = {"--mu": dict(type=float, default=0.01)}
+_BUDGET = {"--budget": dict(type=int)}  # no default: run and optimal need one
+_INSTANCE_OPTS = {
+    "--instance": dict(help="instance file (examples/labels/hypotheses)"),
+    "--synthetic": dict(help="synthetic spec X,H,Y (seeded)"), **_SEED,
+}
+_UTILITY_OPTS = {
+    "--utility": dict(choices=("version-space", "generalized", "pruning"), default="version-space"),
+    "--loss": dict(choices=("zero-one", "hamming"), default="zero-one"), **_MU,
+}
+_COUNTEREXAMPLE_OPTS = {
+    "--mode": dict(choices=("avg", "worst"), default="avg"),
+    "--delta": dict(type=float, default=0.1), **_MU,
+    "--C": dict(type=float, default=1.0), "--alpha": dict(type=float, default=1.0),
+}
+_FILES = {"--config": {}, "--out": {}}  # every command's last two; a config file may set --out
 
-def _add_instance_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--instance", help="instance file (examples/labels/hypotheses)")
-    p.add_argument("--synthetic", help="synthetic spec X,H,Y (seeded)")
-    p.add_argument("--seed", type=int)
-
-
-def _add_utility_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--utility", choices=("version-space", "generalized", "pruning"))
-    p.add_argument("--loss", choices=("zero-one", "hamming"))
-    p.add_argument("--mu", type=float)
-
-
-def _add_counterexample_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("avg", "worst"))
-    p.add_argument("--delta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--C", type=float)
-    p.add_argument("--alpha", type=float)
+_COMMANDS = {  # name: (help, handler, options)
+    "run": ("run a greedy policy against every hypothesis", cmd_run, {
+        **_INSTANCE_OPTS, **_UTILITY_OPTS,
+        "--criterion": dict(choices=CRITERIA, default="max_gibbs"), **_BUDGET,
+    }),
+    "optimal": ("exact optimal policy by exhaustive search", cmd_optimal, {
+        **_INSTANCE_OPTS, **_UTILITY_OPTS,
+        "--objective": dict(choices=("avg", "worst", "min-cost"), default="avg"), **_BUDGET,
+    }),
+    "verify": ("sweep the robustness bounds, one CSV row per report", cmd_verify, {
+        "--trials": dict(type=int, default=20), "--radii": dict(default="0.05,0.1,0.3,0.5"),
+        **_SEED, "--budget": dict(type=int, default=2),
+        "--counterexample": dict(action="store_true"), **_COUNTEREXAMPLE_OPTS,
+    }),
+    "counterexample": ("the non-Lipschitz instance and its values", cmd_counterexample,
+                       _COUNTEREXAMPLE_OPTS),
+    "mixture-demo": ("mixture-prior active learning vs passive", cmd_mixture_demo, {
+        "--seeds": dict(type=int, default=10), "--budget": dict(type=int, default=8),
+        "--pool": dict(type=int, default=16), "--components": dict(type=int, default=4),
+        "--component-files": {},
+        "--criterion": dict(choices=tuple(c for c in CRITERIA if c != "worst_gen_gibbs"),
+                            default="max_gibbs"),
+        "--with-passive": dict(action="store_true"), **_SEED,
+    }),
+    "gen-instance": ("write a seeded synthetic instance file", cmd_gen_instance, {
+        "--examples": dict(type=int, default=4), "--hypotheses": dict(type=int, default=8),
+        "--labels": dict(type=int, default=2), **_SEED, "--uniform": dict(action="store_true"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,95 +353,60 @@ def build_parser() -> argparse.ArgumentParser:
         "exact oracles, and prior-robustness checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run a greedy policy against every hypothesis")
-    _add_instance_opts(p)
-    _add_utility_opts(p)
-    p.add_argument("--criterion", choices=("max_gibbs", "least_confidence", "max_entropy", "gbs", "worst_gen_gibbs"))
-    p.add_argument("--budget", type=int)
-
-    p = sub.add_parser("optimal", help="exact optimal policy by exhaustive search")
-    _add_instance_opts(p)
-    _add_utility_opts(p)
-    p.add_argument("--objective", choices=("avg", "worst", "min-cost"))
-    p.add_argument("--budget", type=int)
-
-    p = sub.add_parser("verify", help="sweep the robustness bounds, one CSV row per report")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--radii")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--counterexample", action="store_true", default=None)
-    _add_counterexample_opts(p)
-
-    p = sub.add_parser("counterexample", help="the non-Lipschitz instance and its values")
-    _add_counterexample_opts(p)
-
-    p = sub.add_parser("mixture-demo", help="mixture-prior active learning vs passive")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--pool", type=int)
-    p.add_argument("--components", type=int)
-    p.add_argument("--component-files", dest="component_files")
-    p.add_argument("--criterion", choices=("max_gibbs", "least_confidence", "max_entropy", "gbs"))
-    p.add_argument("--with-passive", dest="with_passive", action="store_true", default=None)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("gen-instance", help="write a seeded synthetic instance file")
-    p.add_argument("--examples", type=int)
-    p.add_argument("--hypotheses", type=int)
-    p.add_argument("--labels", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--uniform", action="store_true", default=None)
-
-    for p in sub.choices.values():
-        p.add_argument("--config")
-        p.add_argument("--out")
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in {**options, **_FILES}.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
 _PARSER = build_parser()  # built once per process; parsing leaves it unchanged
 
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+             **dict.fromkeys(("false", "0", "no", "off"), False)}
 
-_DEFAULTS = {
-    "run": dict(
-        instance=None, synthetic=None, seed=0, criterion="max_gibbs",
-        utility="version-space", loss="zero-one", mu=0.01, budget=None, out=None,
-    ),
-    "optimal": dict(
-        instance=None, synthetic=None, seed=0, objective="avg",
-        utility="version-space", loss="zero-one", mu=0.01, budget=None, out=None,
-    ),
-    "verify": dict(
-        trials=20, radii="0.05,0.1,0.3,0.5", seed=0, budget=2, counterexample=False,
-        mode="avg", delta=0.1, mu=0.01, C=1.0, alpha=1.0, out=None,
-    ),
-    "counterexample": dict(mode="avg", delta=0.1, mu=0.01, C=1.0, alpha=1.0, out=None),
-    "mixture-demo": dict(
-        seeds=10, budget=8, pool=16, components=4, component_files=None,
-        criterion="max_gibbs", with_passive=False, seed=0, out=None,
-    ),
-    "gen-instance": dict(examples=4, hypotheses=8, labels=2, seed=0, uniform=False, out=None),
-}
 
-_HANDLERS = {
-    "run": cmd_run,
-    "optimal": cmd_optimal,
-    "verify": cmd_verify,
-    "counterexample": cmd_counterexample,
-    "mixture-demo": cmd_mixture_demo,
-    "gen-instance": cmd_gen_instance,
-}
+def _config_flags(command: str, path: str) -> list[str]:
+    """A config file's lines as ``--key=value`` flags, each checked like the flag itself."""
+    options = {**_COMMANDS[command][2], **_FILES}
+    flags = []
+    for key, value, where in _load_config(path):
+        flag = "--" + key.replace("_", "-")
+        if flag == "--config" or flag not in options:
+            raise ValueError(f"{where}: {key!r} is not an option of {command}")
+        keywords = options[flag]
+        if keywords.get("action") == "store_true":
+            if value.lower() not in _BOOLEANS:
+                raise ValueError(f"{where}: {key}: expected a boolean, got {value!r}")
+            flags += [flag] if _BOOLEANS[value.lower()] else []
+            continue
+        kind = keywords.get("type", str)
+        try:
+            checked = kind(value)
+        except ValueError:
+            raise ValueError(f"{where}: {key}: invalid {kind.__name__} value {value!r}") from None
+        choices = keywords.get("choices")
+        if choices and checked not in choices:
+            allowed = ", ".join(map(repr, choices))
+            raise ValueError(f"{where}: {key}: invalid choice {value!r} (choose from {allowed})")
+        flags.append(f"{flag}={value}")
+    return flags
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _PARSER.parse_args(argv)
+    if args.config:
+        # config flags go right after the command, so the user's own flags come last and win
+        at = argv.index(args.command) + 1
+        try:
+            argv[at:at] = _config_flags(args.command, args.config)
+        except (OSError, ValueError) as exc:
+            return _fail(str(exc))
+        args = _PARSER.parse_args(argv)
     try:
-        opts = _resolve(args, _DEFAULTS[args.command])
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        return _HANDLERS[args.command](opts)
+        return args.handler(args)
     except InstanceFormatError as exc:
         return _fail(str(exc))
 

@@ -398,6 +398,8 @@ def sweep_reports(
     across perturbation radii.  Report params carry (trial, radius) so
     a failing case can be replayed.
     """
+    if n_instances < 1:  # an empty sweep would pass vacuously
+        raise ValueError(f"n_instances must be a positive integer, got {n_instances}")
     rng = np.random.default_rng(seed)
     u_vsr = VersionSpaceReduction()
     reports: list[BoundReport] = []

@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,3 +425,137 @@ def test_main_builds_no_parser_per_call(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", rebuilt)
     code, out, _ = run_cli(capsys, "gen-instance", "--examples", "2", "--hypotheses", "3")
     assert code == 0 and out.startswith("examples,x0,x1\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_without_trials_is_a_usage_error(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: n_instances must be a positive integer, got {trials}\n"
+
+
+HELP_DIR = Path(__file__).with_name("cli_help")
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["", "run", "optimal", "verify", "counterexample", "mixture-demo", "gen-instance"],
+)
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    """Every --help text, byte for byte, as argparse on Python 3.11 wraps it at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"] if command else ["--help"])
+    assert stop.value.code == 0
+    golden = HELP_DIR / f"{command or 'poolal'}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+class TestConfigChecks:
+    """Config-file values get the checks their flags get, and errors name file:line."""
+
+    @staticmethod
+    def run_config(capsys, tmp_path, command, *lines):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("# options\n" + "".join(f"{line}\n" for line in lines))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        return code, out, err, str(cfg)
+
+    @pytest.mark.parametrize(
+        "command, lines, line_no, message",
+        [
+            # each of these ran at one time: the bogus value was read as a default
+            ("run", ("synthetic=3,6,2", "budget=1", "loss=bogus"), 4,
+             "loss: invalid choice 'bogus' (choose from 'zero-one', 'hamming')"),
+            ("optimal", ("synthetic=3,6,2", "budget=1", "objective=avgg"), 4,
+             "objective: invalid choice 'avgg' (choose from 'avg', 'worst', 'min-cost')"),
+            ("mixture-demo", ("pool=6", "components=2", "seeds=1", "budget=2",
+                              "with_passive=maybe"), 6,
+             "with_passive: expected a boolean, got 'maybe'"),
+            ("run", ("synthetic=3,6,2", "budjet=2"), 3, "'budjet' is not an option of run"),
+            ("verify", ("trials=abc",), 2, "trials: invalid int value 'abc'"),
+            ("verify", ("radii=0.1", "mode=worst", "instance=a.csv"), 4,
+             "'instance' is not an option of verify"),
+            ("run", ("config=other.cfg",), 2, "'config' is not an option of run"),
+            ("counterexample", ("delta=0.1", "C=x"), 3, "C: invalid float value 'x'"),
+        ],
+    )
+    def test_bad_value_or_key_names_its_line(self, capsys, tmp_path, command, lines, line_no,
+                                             message):
+        code, out, err, cfg = self.run_config(capsys, tmp_path, command, *lines)
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:{line_no}: {message}\n"
+
+    def test_missing_equals_names_its_line(self, capsys, tmp_path):
+        code, _, err, cfg = self.run_config(capsys, tmp_path, "run", "budget=1", "budget 2")
+        assert code == 2
+        assert err == f"error: {cfg}:3: expected key=value, got 'budget 2'\n"
+
+    @pytest.mark.parametrize("word", ["true", "TRUE", "1", "yes", "On", "false", "False", "0",
+                                      "no", "OFF"])
+    def test_switches_take_strict_booleans(self, capsys, tmp_path, word):
+        args = ("gen-instance", "--examples", "3", "--hypotheses", "4")
+        on = word.lower() in ("true", "1", "yes", "on")
+        _, expected, _ = run_cli(capsys, *args, *(("--uniform",) if on else ()))
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"uniform={word}\n")
+        code, out, _ = run_cli(capsys, *args, "--config", str(cfg))
+        assert (code, out) == (0, expected)
+
+    def test_negative_values_and_dashed_keys(self, capsys, tmp_path):
+        _, expected, _ = run_cli(capsys, "counterexample", "--C", "-1")
+        assert "C=-1.0\n" in expected
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("C=-1\n")
+        assert run_cli(capsys, "counterexample", "--config", str(cfg))[:2] == (0, expected)
+        _, expected, _ = run_cli(capsys, "mixture-demo", "--pool", "6", "--components", "2",
+                                 "--seeds", "1", "--budget", "2", "--with-passive")
+        cfg.write_text("pool=6\ncomponents=2\nseeds=1\nbudget=2\nwith-passive=yes\n")
+        assert run_cli(capsys, "mixture-demo", "--config", str(cfg))[:2] == (0, expected)
+
+
+def _resolved(monkeypatch, argv):
+    """The options main hands its command, without running the command."""
+    seen = []
+    parse = cli._PARSER.parse_args
+
+    def parse_only(args):
+        namespace = parse(args)
+        namespace.handler = lambda opts: seen.append(vars(opts)) or 0
+        return namespace
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._PARSER, "parse_args", parse_only)
+        assert main(argv) == 0
+    return {k: v for k, v in seen[-1].items() if k not in ("config", "handler")}
+
+
+def _sample(keywords):
+    """A value for an option that is not its default; negative numbers on purpose."""
+    if "choices" in keywords:
+        return keywords["choices"][-1]
+    return {int: "-3", float: "-0.25", str: "a,b.csv"}[keywords.get("type", str)]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, (_, _, options) in cli._COMMANDS.items()
+     for flag in [*options, "--out"]],
+)
+def test_config_value_resolves_like_its_flag(monkeypatch, tmp_path, command, flag):
+    keywords = cli._COMMANDS[command][2].get(flag, {})
+    cfg = tmp_path / "opts.cfg"
+    key = flag[2:].replace("-", "_")
+    if keywords.get("action") == "store_true":
+        cfg.write_text(f"{key}=true\n")
+        assert _resolved(monkeypatch, [command, "--config", str(cfg)]) == _resolved(
+            monkeypatch, [command, flag])
+        cfg.write_text(f"{key}=false\n")
+        assert _resolved(monkeypatch, [command, "--config", str(cfg)]) == _resolved(
+            monkeypatch, [command])
+        return
+    value = _sample(keywords)
+    cfg.write_text(f"{key}={value}\n")
+    from_config = _resolved(monkeypatch, [command, "--config", str(cfg)])
+    assert from_config == _resolved(monkeypatch, [command, flag, value])
+    assert from_config != _resolved(monkeypatch, [command])

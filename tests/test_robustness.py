@@ -271,6 +271,12 @@ class TestSweep:
         for r in reports:
             assert "trial" in r.params
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_sweep_is_an_error(self, n):
+        # no reports would mean no failing report: the sweep would pass vacuously
+        with pytest.raises(ValueError, match="n_instances must be a positive integer"):
+            sweep_reports(n_instances=n)
+
     def test_report_slack_orientation(self):
         up = BoundReport.at_least("x", 1.0, 0.5, {})
         assert up.holds and up.slack == 0.5
