@@ -9,8 +9,9 @@ deterministic (a prior over labelings) or probabilistic (a weighted
 ensemble of per-example predictors).  Picks and predicted labels are
 certified from one product of the flattened posterior Σ w·q plus a
 rounding-error bound that holds for any summation order
-(``MixtureState._bounds``); only what it cannot separate, exact ties
-included, reads the dense per-component table, so no decision changes.
+(``MixtureState._bounds``, decided by ``utilities._certified_argmax``); only
+what it cannot separate, exact ties included, reads the dense
+per-component table, so no decision changes.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core import (
     label_marginals,
 )
 from .policies import _row_scores, select_from_marginals
+from .utilities import _certified_argmax, _gamma
 
 # Probabilistic components reuse the ensemble type: the member weights are
 # the posterior over predictors and update by Bayes' rule like everything
@@ -85,14 +87,13 @@ class MixtureState:
     @functools.cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds (lo, hi) on every entry of ``_marginals`` on any BLAS kernel, from one product
-        of the flattened posterior (Higham, Accuracy and Stability of Numerical Algorithms,
-        ch. 3-4; γ_n = nu/(1 − nu), u = 2⁻⁵³; k live components, H hypotheses).  A table entry
-        is ``out += w * t`` over the live components in order, each t summing at most H exact
-        products (the one-hot entries are 0 or 1): Σ w·T·(1 + θ), |θ| <= γ_{H+k}, T exact.  The
-        float m = (Σ w·q) @ onehot, plus each ensemble's ``w * table``, is within γ_{H+2k+1} of
-        the same sum.  Products that underflow move the two by at most (H + 2)·k·2⁻¹⁰⁷⁵, so the
-        entry lies in [m(1 − δ) − τ, m(1 + δ) + τ], δ = 2(γ_{H+k} + γ_{H+2k+1}) and
-        τ = 2(H + 1)·k·2⁻¹⁰⁷⁴: the factors 2 cover the rounding of this arithmetic.
+        of the flattened posterior (k live components, H hypotheses, γ from ``_gamma``).  A
+        table entry is ``out += w * t`` over the live components in order, each t summing at
+        most H exact products (the one-hot entries are 0 or 1): Σ w·T·(1 + θ), |θ| <= γ_{H+k}, T
+        exact.  The float m = (Σ w·q) @ onehot, plus each ensemble's ``w * table``, is within
+        γ_{H+2k+1} of the same sum.  Products that underflow move the two by at most (H + 2)·k·
+        2⁻¹⁰⁷⁵, so the entry lies in [m(1 − δ) − τ, m(1 + δ) + τ], δ = 2(γ_{H+k} + γ_{H+2k+1})
+        and τ = 2(H + 1)·k·2⁻¹⁰⁷⁴: the factors 2 cover the rounding of this arithmetic.
         """
         inst, live = self.instance, [(w, c) for w, c in self.components if w != 0.0]
         m = np.zeros((inst.n_examples, inst.n_labels))
@@ -102,7 +103,7 @@ class MixtureState:
             if not isinstance(comp, Prior):
                 m += w * _component_marginals(comp, inst)
         n, k = inst.n_hypotheses, len(live)
-        delta = 2 * sum(j * 2.0**-53 / (1 - j * 2.0**-53) for j in (n + k, n + 2 * k + 1))
+        delta = 2 * sum(_gamma(j) for j in (n + k, n + 2 * k + 1))
         tau = 2 * (n + 1) * k * 2.0**-1074
         return np.maximum(m * (1 - delta) - tau, 0.0), m * (1 + delta) + tau
 
@@ -167,16 +168,12 @@ def _component_update(
 
 def _weighted_marginals(state: MixtureState, use_map: bool) -> np.ndarray:
     """The weight-averaged component marginals; live components only."""
-    out = np.zeros((state.instance.n_examples, state.instance.n_labels))
+    inst = state.instance
+    out = np.zeros((inst.n_examples, inst.n_labels))
     for i, (w, comp) in enumerate(state.components):
-        if w == 0.0:
-            continue
-        table = (
-            _map_component_marginals(state, i)
-            if use_map
-            else _component_marginals(comp, state.instance)
-        )
-        out += w * table
+        if w != 0.0:
+            out += w * (_map_component_marginals(state, i) if use_map else
+                        _component_marginals(comp, inst))
     return out
 
 
@@ -300,29 +297,25 @@ def mixture_predict(state: MixtureState, x: str, use_map: bool = False) -> str:
 
 
 def _pick(state: MixtureState, criterion: str, candidates: list[int], use_map: bool) -> int:
-    """``select_from_marginals`` on the dense table, certified from ``state._bounds`` when the
-    criterion's score never rises with a marginal (rounding is monotone, so scoring hi and lo
-    brackets the table's score) and one candidate's lower end beats every other's upper end."""
+    """``select_from_marginals`` on the dense table, certified from ``state._bounds`` for the
+    criteria whose score never rises with a marginal: scoring hi and lo brackets the score."""
     if criterion in ("max_gibbs", "least_confidence") and not use_map:
         lo, hi = state._bounds
-        low, high = _row_scores(criterion, np.stack([hi, lo]))[:, candidates]
-        best = int(low.argmax())
-        if low[best] > np.delete(high, best).max(initial=-math.inf):
+        best = int(_certified_argmax(*_row_scores(criterion, np.stack([hi, lo]))[:, candidates]))
+        if best >= 0:
             return candidates[best]
     return select_from_marginals(criterion, mixture_marginals(state, use_map), candidates)
 
 
 def _argmax_labels(state: MixtureState, rows: list[int], use_map: bool = False) -> np.ndarray:
-    """``np.argmax`` over each row of the dense table, certified from ``state._bounds`` for
-    every row whose lo at one label is above its hi at every other label."""
-    if use_map:
-        return np.argmax(mixture_marginals(state, True)[rows], axis=1)
-    lo, hi = (b[rows] for b in state._bounds)
-    labels, r = lo.argmax(axis=1), np.arange(len(rows))
-    top, hi[r, labels] = lo[r, labels], -math.inf
-    open_ = ~(top > hi.max(axis=1))
+    """``np.argmax`` over each row of the dense table, certified from ``state._bounds`` where it
+    can be; the mode table has no bounds, so under ``use_map`` every row reads it."""
+    labels = np.full(len(rows), -1)
+    if not use_map:
+        labels = _certified_argmax(*(b[rows] for b in state._bounds))
+    open_ = labels < 0
     if open_.any():
-        labels[open_] = np.argmax(mixture_marginals(state)[rows][open_], axis=1)
+        labels[open_] = np.argmax(mixture_marginals(state, use_map)[rows][open_], axis=1)
     return labels
 
 

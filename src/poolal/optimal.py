@@ -3,8 +3,8 @@
 f_avg, f_worst and c_avg route all hypotheses down the tree at once and
 evaluate the utility once per leaf, whose hypotheses share one agreement
 set: O(H * depth).  Greedy trees build posteriors only for nodes they expand.
-Under the built-in 0-1 loss, f_worst evaluates only the leaves that a
-rigorous bound on every leaf's pair mass cannot rule out of the min.
+Under the built-in 0-1 loss, f_worst evaluates only the leaves whose pair-mass
+bounds keep them in contention for the min (``utilities._certified_argmax``'s test).
 
 Three oracles: maximum expected utility, maximum worst-case utility,
 and minimum expected identification cost.  They exist to verify
@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import Instance, Prior, _check_prior
 from .policies import PolicyNode, PolicyTree, policy_to_text
-from .utilities import GeneralizedReduction, Utility, _pair_mass_bounds, _set_utility_fn
+from .utilities import GeneralizedReduction, Utility, _contenders, _pair_mass_bounds, _set_utility_fn
 
 EXAMPLE_CAP = 6
 HYPOTHESIS_CAP = 16
@@ -131,9 +131,9 @@ def f_worst(p: Prior, u: Utility, tree: PolicyTree) -> float:
     utility evaluation per leaf, O(H * depth).
 
     Under the 0-1 loss a leaf's value, total − q_in L q_in, falls as its
-    pair mass grows, rounded or not.  Only leaves whose pair-mass upper
-    bound (``_pair_mass_bounds`` of per-leaf sums of q and q²) reaches the
-    greatest lower bound can hold the min, so only they are evaluated.
+    pair mass grows, rounded or not, so only the ``_contenders`` for the
+    greatest pair mass (``_pair_mass_bounds`` of per-leaf sums of q and q²)
+    can hold the min, and only they are evaluated.
     """
     if not (isinstance(u, GeneralizedReduction) and u.loss._zero_one):
         return min(_leaf_utilities(p, u, tree))
@@ -141,7 +141,7 @@ def f_worst(p: Prior, u: Utility, tree: PolicyTree) -> float:
     value, key, q = _set_utility_fn(u, p, tree.instance), _route(tree)[0], p.probs
     lo, hi = _pair_mass_bounds(np.bincount(key, q), np.bincount(key, q * q), q.size)
     hi[np.bincount(key) == 0] = -math.inf  # slots no hypothesis reaches; their lo is <= 0
-    return min(value(np.flatnonzero(key == k)) for k in np.flatnonzero(hi >= lo.max()).tolist())
+    return min(value(np.flatnonzero(key == k)) for k in np.flatnonzero(_contenders(lo, hi)))
 
 
 def c_avg(p: Prior, tree: PolicyTree) -> float:

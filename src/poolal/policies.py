@@ -9,8 +9,9 @@ identical inputs always yield identical trees and transcripts.
 Greedy trees grow a level at a time: up to X * Y node posteriors are
 scored together, from one stacked product that gives each row the bits
 of ``label_marginals``; each child's mass stays a 1-D sum of its own.
-Under the built-in 0-1 loss a rounding-error bound on closed-form pair masses
-certifies most ``worst_gen_gibbs`` picks; only the rest pay the dense loss product.
+``select`` and ``greedy_transcript`` pick with the same code, one row at a time.
+Under the built-in 0-1 loss, bounds on closed-form pair masses let
+``utilities._certified_argmax`` decide most ``worst_gen_gibbs`` picks.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .core import (
     Prior,
     _check_prior,
     _marginal_rows,
-    label_marginals,
+    label_marginals,  # unused here, but perfbench's tracer rebinds it in every importing module
     posterior,
 )
-from .utilities import LossMatrix, _check_loss, _pair_mass_bounds, zero_one_loss
+from .utilities import LossMatrix, _certified_argmax, _check_loss, _pair_mass_bounds, zero_one_loss
 
 CRITERIA = ("max_gibbs", "least_confidence", "max_entropy", "gbs", "worst_gen_gibbs")
 
@@ -142,8 +143,8 @@ def _worst_gen_gibbs_picks(
     Under the 0-1 loss, ``_pair_mass_bounds`` bounds the pair mass of every label branch, and
     of the row (each example's branch sums, summed), from two stacked products.  Rounding is
     monotone, so each gain of ``_worst_gen_gibbs_gains`` lies in [lo_row − max hi, hi_row −
-    max lo] on any BLAS kernel, and a candidate whose lower end beats every other upper end is
-    its argmax.  Other rows (exact ties among them) and other losses take that argmax.
+    max lo] on any BLAS kernel, and ``_certified_argmax`` decides from those brackets.  Rows it
+    leaves open, and other losses, take the argmax of the dense gains.
     """
     picks = np.full(len(P), -1)
     if loss._zero_one:
@@ -152,15 +153,21 @@ def _worst_gen_gibbs_picks(
         lo, hi = _pair_mass_bounds(*sums, inst.n_hypotheses)  # (rows, X, Y + 1)
         gain_lo = np.where(avail, lo[..., -1] - hi[..., :-1].max(axis=2), -math.inf)
         gain_hi = np.where(avail, hi[..., -1] - lo[..., :-1].max(axis=2), -math.inf)
-        rows, best = np.arange(len(P)), gain_lo.argmax(axis=1)
-        gain_hi[rows, best] = -math.inf
-        picks = np.where(gain_lo[rows, best] > gain_hi.max(axis=1), best, -1)
-    for i, pick in enumerate(picks.tolist()):
-        if pick < 0:
-            candidates = avail[i].nonzero()[0]
-            gains = _worst_gen_gibbs_gains(Prior._trusted(P[i]), inst, candidates, loss)
-            picks[i] = candidates[np.argmax(gains)]
+        picks = _certified_argmax(gain_lo, gain_hi)
+    for i in np.flatnonzero(picks < 0):
+        candidates = avail[i].nonzero()[0]
+        gains = _worst_gen_gibbs_gains(Prior._trusted(P[i]), inst, candidates, loss)
+        picks[i] = candidates[np.argmax(gains)]
     return picks
+
+
+def _picks(criterion: str, inst: Instance, P: np.ndarray, avail: np.ndarray, loss) -> np.ndarray:
+    """Each row's greedy pick among the examples its ``avail`` row flags, the lowest pool index
+    winning ties; for a known criterion and a ``_checked_loss``."""
+    if criterion == "worst_gen_gibbs":
+        return _worst_gen_gibbs_picks(inst, P, avail, loss)
+    scores = _row_scores(criterion, _marginal_rows(inst, P))
+    return np.where(avail, scores, -math.inf).argmax(axis=1)
 
 
 def _candidates(inst: Instance, available: Iterable[str]) -> list[int]:
@@ -169,16 +176,6 @@ def _candidates(inst: Instance, available: Iterable[str]) -> list[int]:
         return sorted(inst.example_index[x] for x in set(available))
     except KeyError as exc:
         raise ValueError(f"unknown example {exc.args[0]!r}") from None
-
-
-def _select_index(
-    criterion: str, q: Prior, inst: Instance, candidates: Sequence[int], loss: LossMatrix | None
-) -> int:
-    """``select`` on ascending pool indices, for a known criterion and a ``_checked_loss``."""
-    if criterion == "worst_gen_gibbs":
-        avail = np.bincount(candidates, minlength=inst.n_examples)[None] > 0
-        return int(_worst_gen_gibbs_picks(inst, q.probs[None], avail, loss)[0])
-    return select_from_marginals(criterion, label_marginals(q, inst), candidates)
 
 
 def _checked_loss(criterion: str, inst: Instance, loss: LossMatrix | None) -> LossMatrix | None:
@@ -208,7 +205,8 @@ def select(
     if not candidates:
         raise ValueError("no examples available to select from")
     loss = _checked_loss(criterion, inst, loss)
-    return inst.examples[_select_index(criterion, p, inst, candidates, loss)]
+    avail = np.bincount(candidates, minlength=inst.n_examples)[None] > 0
+    return inst.examples[int(_picks(criterion, inst, p.probs[None], avail, loss)[0])]
 
 
 def _joint_gibbs_error(p: Prior, inst: Instance, batch_idx: Sequence[int]) -> float:
@@ -376,10 +374,7 @@ def build_policy(
     loss = _checked_loss(criterion, inst, loss)  # once per tree, not once per node
 
     def choose(P: np.ndarray, avail: np.ndarray):
-        if criterion == "worst_gen_gibbs":
-            return _worst_gen_gibbs_picks(inst, P, avail, loss)[:, None]
-        scores = _row_scores(criterion, _marginal_rows(inst, P))  # argmax takes the lowest index
-        return np.where(avail, scores, -math.inf).argmax(axis=1)[:, None]
+        return _picks(criterion, inst, P, avail, loss)[:, None]
 
     return _grow_rounds(p, inst, budget, choose, stop_when_identified)
 
@@ -444,16 +439,13 @@ def greedy_transcript(
     if not 0 <= budget <= inst.n_examples:
         raise ValueError(f"budget must lie in [0, {inst.n_examples}], got {budget}")
     loss = _checked_loss(criterion, inst, loss)  # once per run, not once per step
-    q = p
-    pairs: list[tuple[str, str]] = []
-    avail = list(range(inst.n_examples))
-    labeling = truth.labeling
+    q, pairs, labeling = p, [], truth.labeling
+    avail = np.ones((1, inst.n_examples), dtype=bool)
     for _ in range(budget):
-        xi = _select_index(criterion, q, inst, avail, loss)
-        x = inst.examples[xi]
-        q = posterior(q, inst, [(x, labeling[x])])
-        pairs.append((x, labeling[x]))
-        avail.remove(xi)
+        xi = int(_picks(criterion, inst, q.probs[None], avail, loss)[0])
+        avail[0, xi] = False
+        pairs.append((inst.examples[xi], labeling[inst.examples[xi]]))
+        q = posterior(q, inst, pairs[-1:])
     return Transcript(tuple(pairs), q)
 
 

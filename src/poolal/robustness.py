@@ -318,8 +318,10 @@ def counterexample_instance(
         raise ValueError(f"mode must be 'avg' or 'worst', got {mode!r}")
     if mode == "avg":
         mu = 0.0
-    if mu < 0:
+    if not mu >= 0:  # NaN too
         raise ValueError("threshold must be nonnegative")
+    if not (math.isfinite(C) and math.isfinite(alpha)):
+        raise ValueError(f"C and alpha must be finite, got C={C}, alpha={alpha}")
     if not 0.0 < delta < 0.25 - mu / 2.0:
         raise ValueError(f"delta must lie in (0, {0.25 - mu / 2.0}), got {delta}")
 
@@ -400,6 +402,9 @@ def sweep_reports(
     """
     if n_instances < 1:  # an empty sweep would pass vacuously
         raise ValueError(f"n_instances must be a positive integer, got {n_instances}")
+    for radius in radii:  # before a radius becomes a seed; NaN fails too
+        if not 0.0 <= radius <= 2.0:
+            raise ValueError(f"perturbation radius must lie in [0, 2], got {radius}")
     rng = np.random.default_rng(seed)
     u_vsr = VersionSpaceReduction()
     reports: list[BoundReport] = []

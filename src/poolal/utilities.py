@@ -82,20 +82,35 @@ def zero_one_loss(inst: Instance) -> LossMatrix:
     return LossMatrix._trusted(values, 1.0, zero_one=True)
 
 
+def _gamma(k: int) -> float:
+    """γ_k = ku/(1 − ku), u = 2⁻⁵³ (Higham, Accuracy and Stability of Numerical Algorithms)."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
+def _contenders(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Along the last axis, the entries whose bracket [lo, hi] can hold the greatest value."""
+    return hi >= lo.max(axis=-1, keepdims=True)
+
+
+def _certified_argmax(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Along the last axis, the argmax of any values bracketed by lo <= hi where that is the
+    only contender, else -1: exact ties in lo leave two or more, NaN bounds none."""
+    c = _contenders(lo, hi)
+    return np.where(c.sum(axis=-1) == 1, c.argmax(axis=-1), -1)
+
+
 def _pair_mass_bounds(s: np.ndarray, ss: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lo, hi) on the double any BLAS kernel gives for vᵀLv under the 0-1 loss L, from
     float sums s of v and ss of v*v (any order; elementwise), for v >= 0 of n entries.
 
-    With S = Σv exactly, vᵀLv = S² − Σv² (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3-4; γ_k = ku/(1 − ku), u = 2⁻⁵³).  The products in ``v @ L`` are exact and each entry
+    With S = Σv exactly, vᵀLv = S² − Σv².  The products in ``v @ L`` are exact and each entry
     sums at most n − 1 of them; the dot with v adds n rounded products.  So the BLAS double is
     within γ_2n·S² + n·2⁻¹⁰⁷⁴ of vᵀLv (the last term for underflow), the float s² − ss within
     γ_{3n+4}·S² + n·2⁻¹⁰⁷⁴, and S <= s·(1 + γ_n).  lo, hi = s² − ss ∓ twice their sum: the
     factor 2 covers the rounding of this arithmetic.
     """
-    g = [k * 2.0**-53 / (1 - k * 2.0**-53) for k in (2 * n, 3 * n + 4, n)]
     sq = s * s
-    err = 2 * (g[0] + g[1]) * (1 + g[2]) ** 2 * sq + 4 * n * 2.0**-1074
+    err = 2 * (_gamma(2 * n) + _gamma(3 * n + 4)) * (1 + _gamma(n)) ** 2 * sq + 4 * n * 2.0**-1074
     return sq - ss - err, sq - ss + err
 
 
@@ -157,7 +172,7 @@ class PruningCount:
     mu: float = 0.01
 
     def __post_init__(self):
-        if self.mu < 0:
+        if not self.mu >= 0:  # NaN too
             raise ValueError("threshold must be nonnegative")
 
 

@@ -9,9 +9,13 @@ pick, tree and value must match it bit for bit.  The bound itself is
 checked in exact integer arithmetic (every double is a multiple of
 2⁻¹⁰⁷⁴), against the closed form up to H = 65,536 and against both BLAS
 routes (``v @ L @ v`` and the stacked ``Q @ L``) wherever the dense loss
-fits in memory (H <= 4,096; at 65,536 it would take 34 GB).
+fits in memory (H <= 4,096; at 65,536 it would take 34 GB).  The decision
+rule every certified site shares, ``utilities._certified_argmax``, is
+checked against a brute-force copy of the inline test it replaced, and the
+share of picks it leaves to the dense product is pinned on fixed instances.
 """
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 
 import poolal as pl
 from poolal import optimal, policies
+from poolal.robustness import sweep_reports
 from poolal.optimal import _leaf_utilities, f_worst
 from poolal.policies import (
     _worst_gen_gibbs_gains,
@@ -34,6 +39,8 @@ from poolal.policies import (
 from poolal.utilities import (
     GeneralizedReduction,
     LossMatrix,
+    _certified_argmax,
+    _contenders,
     _pair_mass_bounds,
     hamming_loss,
     load_loss_matrix,
@@ -319,3 +326,66 @@ class TestCounts:
         path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in values))
         for loss in (LossMatrix(values), load_loss_matrix(path, inst), hamming_loss(inst)):
             assert not loss._zero_one
+
+
+def brute_certified_argmax(lo_row, hi_row):
+    """The inline certificate each site used to write: the argmax of lo wins when its lo is
+    above every other entry's hi."""
+    best = max(range(len(lo_row)), key=lambda j: (lo_row[j], -j))  # first index among ties
+    others = [h for j, h in enumerate(hi_row) if j != best]
+    return best if lo_row[best] > max(others, default=-math.inf) else -1
+
+
+@st.composite
+def brackets(draw):
+    """(lo, hi) with lo <= hi, 1-D or 2-D; a small pool of values makes exact ties common, and
+    -inf masks out entries (both ends) but never a whole row, as at every site."""
+    rows, n = draw(st.sampled_from([None, 1, 2, 5])), draw(st.integers(1, 6))
+    value = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(-4.0, 4.0)
+    width = st.sampled_from([0.0, 0.0, 1e-300, 0.25]) | st.floats(0.0, 2.0)
+    shape = (n,) if rows is None else (rows, n)
+    size = int(np.prod(shape))
+    lo = np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+    hi = lo + np.array(draw(st.lists(width, min_size=size, max_size=size))).reshape(shape)
+    masked = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+    masked[..., draw(st.integers(0, n - 1))] = False
+    lo[masked] = hi[masked] = -math.inf
+    return lo, hi
+
+
+class TestCertificationRule:
+    @given(brackets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_inline_certificate(self, bounds):
+        lo, hi = bounds
+        got, contenders = _certified_argmax(lo, hi), _contenders(lo, hi)
+        assert got.shape == lo.shape[:-1] and contenders.shape == lo.shape
+        for lo_row, hi_row, pick, flags in zip(
+            lo.reshape(-1, lo.shape[-1]).tolist(), hi.reshape(-1, lo.shape[-1]).tolist(),
+            got.reshape(-1).tolist(), contenders.reshape(-1, lo.shape[-1]).tolist(),
+        ):
+            assert flags == [h >= max(lo_row) for h in hi_row]
+            assert pick == brute_certified_argmax(lo_row, hi_row)
+            assert flags[lo_row.index(max(lo_row))]  # the argmax of lo always contends
+
+    def test_ties_and_nan_stay_open(self):
+        lo = np.array([[1.0, 1.0, 0.0], [2.0, math.nan, 0.0], [math.nan] * 3, [0.0, 1.0, 0.5]])
+        hi = np.array([[1.0, 1.0, 0.5], [2.0, math.nan, 1.0], [math.nan] * 3, [0.0, 1.0, 0.99]])
+        assert _certified_argmax(lo, hi).tolist() == [-1, -1, -1, 1]
+        assert _certified_argmax(np.array([3.0]), np.array([3.0])).tolist() == 0
+
+
+class TestFallbackShare:
+    def test_verify_sized_share(self):
+        """``poolal verify``'s worst-case trees leave a pinned share of their picks to the dense
+        product: a loosened bound, or moved inputs, raises it and fails here."""
+        rows, dense = [], mock.Mock(wraps=_worst_gen_gibbs_gains)
+
+        def picks(inst, P, avail, loss):
+            rows.append(len(P))
+            return _worst_gen_gibbs_picks(inst, P, avail, loss)
+
+        with mock.patch.object(policies, "_worst_gen_gibbs_picks", picks), \
+                mock.patch.object(policies, "_worst_gen_gibbs_gains", dense):
+            sweep_reports(n_instances=100, seed=0)
+        assert (dense.call_count, sum(rows)) == (225, 1200)

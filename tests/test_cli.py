@@ -47,6 +47,13 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--instance", square_file)
         assert code == 2
 
+    def test_nan_threshold_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--synthetic", "3,6,2", "--budget", "1", "--utility", "pruning",
+            "--mu", "nan",
+        )
+        assert (code, out, err) == (2, "", "error: threshold must be nonnegative\n")
+
     def test_deterministic_output(self, capsys, square_file):
         args = ("run", "--instance", square_file, "--budget", "2")
         _, first, _ = run_cli(capsys, *args)
@@ -168,6 +175,16 @@ class TestCounterexample:
         assert code == 2
         assert "delta" in err
 
+    def test_nan_threshold(self, capsys):
+        code, out, err = run_cli(capsys, "counterexample", "--mode", "worst", "--mu", "nan")
+        assert (code, out, err) == (2, "", "error: threshold must be nonnegative\n")
+
+    @pytest.mark.parametrize("flag", ["--C", "--alpha"])
+    def test_nan_constant_is_not_a_violation(self, capsys, flag):
+        code, out, err = run_cli(capsys, "counterexample", flag, "nan")
+        assert (code, out) == (2, "")
+        assert "C and alpha must be finite" in err
+
 
 class TestVerify:
     def test_failing_report_exits_nonzero(self, capsys, monkeypatch):
@@ -207,6 +224,12 @@ class TestVerify:
         monkeypatch.undo()
         code, _, clean_err = run_cli(capsys, *args)
         assert (code, clean_err) == (0, "")  # when every bound holds, stderr stays empty
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "1e308"])
+    def test_out_of_domain_radius(self, capsys, radius):
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", f"--radii=0.1,{radius}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: perturbation radius must lie in [0, 2], got ")
 
     def test_small_sweep_exits_clean(self, capsys):
         code, out, _ = run_cli(

@@ -206,6 +206,17 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="mode"):
             counterexample_instance(0.1, mode="median")
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            counterexample_instance(0.1, mu=math.nan, mode="worst")
+
+    @pytest.mark.parametrize("name", ["C", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constants_rejected(self, name, value):
+        # a NaN right-hand side would otherwise read as a violation of the bound
+        with pytest.raises(ValueError, match="C and alpha must be finite"):
+            counterexample_instance(0.1, mode="avg", **{name: value})
+
     def test_instance_serializes_bit_for_bit(self, tmp_path):
         inst, p0, _, _ = counterexample_instance(0.1, mode="avg")
         path = tmp_path / "ce.csv"
@@ -276,6 +287,11 @@ class TestSweep:
         # no reports would mean no failing report: the sweep would pass vacuously
         with pytest.raises(ValueError, match="n_instances must be a positive integer"):
             sweep_reports(n_instances=n)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 1e308])
+    def test_radius_checked_before_it_seeds(self, radius):
+        with pytest.raises(ValueError, match=r"perturbation radius must lie in \[0, 2\]"):
+            sweep_reports(n_instances=1, radii=(0.1, radius))
 
     def test_report_slack_orientation(self):
         up = BoundReport.at_least("x", 1.0, 0.5, {})

@@ -201,6 +201,10 @@ class TestPruningCount:
         with pytest.raises(ValueError):
             PruningCount(-0.1)
 
+    def test_nan_mu_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            PruningCount(float("nan"))
+
 
 class TestLipschitzConstants:
     def test_version_space(self):
