@@ -133,15 +133,19 @@ def f_worst(p: Prior, u: Utility, tree: PolicyTree) -> float:
     Under the 0-1 loss a leaf's value, total − q_in L q_in, falls as its
     pair mass grows, rounded or not, so only the ``_contenders`` for the
     greatest pair mass (``_pair_mass_bounds`` of per-leaf sums of q and q²)
-    can hold the min, and only they are evaluated.
+    can hold the min, and only they are evaluated.  A one-hypothesis leaf's
+    q_in L q_in is exactly 0 (a loss has a zero diagonal), so every such leaf
+    is worth exactly total and one of them is evaluated.
     """
     if not (isinstance(u, GeneralizedReduction) and u.loss._zero_one):
         return min(_leaf_utilities(p, u, tree))
     _check_prior(p, tree.instance)
     value, key, q = _set_utility_fn(u, p, tree.instance), _route(tree)[0], p.probs
     lo, hi = _pair_mass_bounds(np.bincount(key, q), np.bincount(key, q * q), q.size)
-    hi[np.bincount(key) == 0] = -math.inf  # slots no hypothesis reaches; their lo is <= 0
-    return min(value(np.flatnonzero(key == k)) for k in np.flatnonzero(_contenders(lo, hi)))
+    hi[(size := np.bincount(key)) == 0] = -math.inf  # slots no hypothesis reaches; their lo is <= 0
+    contenders = _contenders(lo, hi)
+    contenders[np.flatnonzero(contenders & (size == 1))[1:]] = False  # one singleton for all
+    return min(value(np.flatnonzero(key == k)) for k in np.flatnonzero(contenders))
 
 
 def c_avg(p: Prior, tree: PolicyTree) -> float:

@@ -9,6 +9,7 @@ identical inputs always yield identical trees and transcripts.
 Greedy trees grow a level at a time: up to X * Y node posteriors are
 scored together, from one stacked product that gives each row the bits
 of ``label_marginals``; each child's mass stays a 1-D sum of its own.
+A stack of priors grows as one forest, its roots the first level's nodes.
 ``select`` and ``greedy_transcript`` pick with the same code, one row at a time.
 Under the built-in 0-1 loss, bounds on closed-form pair masses let
 ``utilities._certified_argmax`` decide most ``worst_gen_gibbs`` picks.
@@ -272,27 +273,29 @@ def _densify(node: np.ndarray, hyp: np.ndarray, val: np.ndarray, n: int, H: int)
 
 
 def _grow_rounds(
-    p: Prior, inst: Instance, n_rounds: int, choose: Callable, stop_when_identified: bool = False
-) -> PolicyTree:
-    """The one tree grower behind both greedy builders, a level at a time.
+    stack: np.ndarray, inst: Instance, n_rounds: int, choose: Callable, stop_when_identified: bool = False
+) -> list[PolicyTree]:
+    """The one tree grower behind both greedy builders: a forest, one tree per row of the (k, H)
+    ``stack`` of priors, grown a level at a time.
 
     Per round ``choose(P, avail)`` gives a batch of pool indices for each row
     of ``P``, a node's dense posterior, from the examples its ``avail`` row
     flags; a batch, which callers check fits, is queried blind.  Between
     levels the frontier is compact, one (node, hypothesis, value) entry per
-    branch-consistent hypothesis, and each node below the root is densified
-    once, at most X * Y rows at a time.  A child's mass is the 1-D sum of its
-    parent's row over the whole label column; a massless child is uniform
-    over its consistent set.
+    branch-consistent hypothesis; level 0 holds the roots, whose rows are the
+    priors themselves, and each node below is densified once, at most X * Y
+    rows at a time.  A child's mass is the 1-D sum of its parent's row over
+    the whole label column; a massless child is uniform over its consistent set.
     """
     X, Y, H = inst.n_examples, inst.n_labels, inst.n_hypotheses
-    if stop_when_identified and (np.count_nonzero(p.probs) or H) <= 1:
-        return PolicyTree(inst, None)
+    n_trees = len(stack)  # under stop_when_identified, a root with one entry of mass stays empty
+    roots = np.flatnonzero(np.count_nonzero(stack, axis=1) > stop_when_identified)
+    stack = stack[roots]
     columns: dict = {}  # (xi, yi): the ascending indices of the hypotheses labeling xi with yi
-    node, hyp, val = np.zeros(H, dtype=np.intp), np.arange(H), p.probs
-    avail = np.array([[True] * X])  # per node: the examples its path has not queried
+    node, hyp, val = np.repeat(np.arange(roots.size), H), np.tile(np.arange(H), roots.size), stack.ravel()
+    avail = np.ones((roots.size, X), dtype=bool)  # per node: the examples its path has not queried
     batch, pos, rounds_left, step, levels = None, 0, n_rounds, X * Y, []
-    while True:
+    while len(avail):
         n, cuts, chunks, grown = len(avail), [0, node.size], [], []
         if n > step:  # a chunk is a run of nodes, so order the entries by node
             order = np.argsort(node, kind="stable")
@@ -301,7 +304,7 @@ def _grow_rounds(
         for c, c0 in enumerate(range(0, n, step)):
             m, e = min(step, n - c0), slice(cuts[c], cuts[c + 1])
             loc, h, v = (node[e] - c0, hyp[e], val[e]) if n > step else (node, hyp, val)
-            P = _densify(loc, h, v, m, H) if levels else p.probs[None]
+            P = _densify(loc, h, v, m, H) if levels else stack[c0 : c0 + m]
             bt = batch[c0 : c0 + m] if pos else np.asarray(choose(P, avail[c0 : c0 + m]), np.intp)
             xi, last, kids = bt[:, pos], pos + 1 == bt.shape[1], []
             grown.append((xi, kids))  # per chunk: each node's example, its slots holding a child
@@ -350,7 +353,24 @@ def _grow_rounds(
                 flat[k] = child
             names = [inst.examples[x] for x in xi.tolist()]
             below += map(PolicyNode, names, zip(*[iter(flat)] * Y))  # Y slots to a node
-    return PolicyTree(inst, below[0])
+    tree_of = dict(zip(roots.tolist(), below))  # the first level's nodes are the roots, in order
+    return [PolicyTree(inst, tree_of.get(i)) for i in range(n_trees)]
+
+
+def _build_forest(criterion: str, priors: Sequence[Prior], inst: Instance, budget: int, loss, stop):
+    """``build_policy`` on each of ``priors``, the trees grown together as one forest."""
+    if not priors:
+        raise ValueError("a forest needs at least one prior")
+    for p in priors:
+        _check_prior(p, inst)
+    if not 1 <= budget <= inst.n_examples:
+        raise ValueError(f"budget must lie in [1, {inst.n_examples}], got {budget}")
+    loss = _checked_loss(criterion, inst, loss)  # once per forest, not once per node
+
+    def choose(P: np.ndarray, avail: np.ndarray):
+        return _picks(criterion, inst, P, avail, loss)[:, None]
+
+    return _grow_rounds(np.array([p.probs for p in priors]), inst, budget, choose, stop)
 
 
 def build_policy(
@@ -368,15 +388,7 @@ def build_policy(
     ``gbs``), where a path ends as soon as the positive-mass version
     space is a singleton.
     """
-    _check_prior(p, inst)
-    if not 1 <= budget <= inst.n_examples:
-        raise ValueError(f"budget must lie in [1, {inst.n_examples}], got {budget}")
-    loss = _checked_loss(criterion, inst, loss)  # once per tree, not once per node
-
-    def choose(P: np.ndarray, avail: np.ndarray):
-        return _picks(criterion, inst, P, avail, loss)[:, None]
-
-    return _grow_rounds(p, inst, budget, choose, stop_when_identified)
+    return _build_forest(criterion, [p], inst, budget, loss, stop_when_identified)[0]
 
 
 def build_batch_policy(
@@ -398,7 +410,7 @@ def build_batch_policy(
         rows = zip(map(Prior._trusted, P), avail)
         return [_select_batch_index(q, inst, a.nonzero()[0].tolist(), batch_size) for q, a in rows]
 
-    return _grow_rounds(p, inst, n_rounds, choose)
+    return _grow_rounds(p.probs[None], inst, n_rounds, choose)[0]
 
 
 def run_policy(

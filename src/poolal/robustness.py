@@ -10,6 +10,7 @@ the price of robustness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -35,7 +36,7 @@ from .optimal import (
     opt_min_cost,
     opt_worst,
 )
-from .policies import PolicyNode, PolicyTree, build_batch_policy, build_policy
+from .policies import PolicyNode, PolicyTree, _build_forest, build_batch_policy, build_policy
 from .utilities import (
     GeneralizedReduction,
     PruningCount,
@@ -383,6 +384,15 @@ def _perturbed_with_support(
     raise RuntimeError("could not sample a support-covering perturbation")
 
 
+def _grown(name: str, priors: list[Prior], *args):
+    """``name`` as a check's ``algorithm``: given one of ``priors`` (a Prior hashes by identity),
+    it hands back that prior's tree, every tree having grown in one forest."""
+    trees = dict(zip(priors, _build_forest(name, priors, *args)))
+    algorithm = functools.partial(dict.__getitem__, trees)
+    algorithm.__name__ = name
+    return algorithm
+
+
 def sweep_reports(
     n_instances: int = 125,
     radii: Sequence[float] = (0.05, 0.1, 0.3, 0.5),
@@ -422,17 +432,21 @@ def sweep_reports(
         oracle_gen = opt_worst(p0, u_gen, inst, b)
         oracle_cost = opt_min_cost(p0, inst)
 
-        for radius in radii:
-            p1 = perturb(p0, radius, seed=[seed, trial, int(radius * 1000)])
-            p1_cov = _perturbed_with_support(p0, radius, [seed, trial, int(radius * 1000)])
+        p1s = [perturb(p0, radius, seed=[seed, trial, int(radius * 1000)]) for radius in radii]
+        covs = [_perturbed_with_support(p0, radius, [seed, trial, int(radius * 1000)]) for radius in radii]
+        max_gibbs = _grown("max_gibbs", p1s, inst, b, None, False)  # one forest over every radius
+        least_confidence = _grown("least_confidence", p1s, inst, b, None, False)
+        worst_gen_gibbs = _grown("worst_gen_gibbs", p1s, inst, b, u_gen.loss, False)
+        gbs = _grown("gbs", covs, inst, n_x, None, True)
+        for radius, p1, p1_cov in zip(radii, p1s, covs):
             for name, r in (
                 ("avg_vsr_max_gibbs",
-                 check_avg_bound(inst, p0, p1, u_vsr, "max_gibbs", ALPHA_GREEDY, b, oracle_avg)),
+                 check_avg_bound(inst, p0, p1, u_vsr, max_gibbs, ALPHA_GREEDY, b, oracle_avg)),
                 ("worst_vsr_least_confidence",
-                 check_worst_bound(inst, p0, p1, u_vsr, "least_confidence", ALPHA_GREEDY, b, oracle_worst)),
+                 check_worst_bound(inst, p0, p1, u_vsr, least_confidence, ALPHA_GREEDY, b, oracle_worst)),
                 ("worst_gen_gibbs_01",
-                 check_worst_bound(inst, p0, p1, u_gen, "worst_gen_gibbs", ALPHA_GREEDY, b, oracle_gen)),
-                ("mincost_gbs", check_mincost_bound(inst, p0, p1_cov, "gbs", opt=oracle_cost)),
+                 check_worst_bound(inst, p0, p1, u_gen, worst_gen_gibbs, ALPHA_GREEDY, b, oracle_gen)),
+                ("mincost_gbs", check_mincost_bound(inst, p0, p1_cov, gbs, opt=oracle_cost)),
             ):
                 reports.append(replace(r, bound=name, params={**r.params, "trial": trial, "radius": radius}))
 

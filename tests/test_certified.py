@@ -290,13 +290,41 @@ class TestCounts:
         assert value == min(_leaf_utilities(p, GeneralizedReduction(loss), tree))
 
     def test_unreached_slots_are_never_evaluated(self, chain):
-        # every leaf holds one hypothesis, so all tie at pair mass 0; slots 0, 1 and 3 hold none
+        # every leaf holds one hypothesis, so all tie at pair mass 0 and one stands for the
+        # three; slots 0, 1 and 3 hold none
         tree = pl.PolicyTree(chain, pl.PolicyNode("x0", (pl.PolicyNode("x1", (None, None)),) * 2))
         p, u = pl.Prior([0.2, 0.3, 0.5]), GeneralizedReduction(zero_one_loss(chain))
         with leaf_evaluations() as evaluated:
             value = f_worst(p, u, tree)
-        assert sorted(evaluated) == [1, 1, 1]
+        assert evaluated == [1]
         assert value == min(_leaf_utilities(p, u, tree))
+
+    def test_one_singleton_leaf_is_evaluated(self):
+        # verify-sized greedy trees, whose contending leaves mostly hold one hypothesis; under a
+        # uniform prior they tie exactly
+        skipped = 0
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 17])
+            n_x = int(rng.integers(2, 5))
+            inst = pl.random_instance(n_x, min(int(rng.integers(3, 9)), 2**n_x), 2, rng=rng)
+            p, u = pl.random_prior(inst, rng), GeneralizedReduction(zero_one_loss(inst))
+            tree = build_policy("worst_gen_gibbs", p, inst, min(2, n_x))
+            p0 = p if seed % 2 else pl.uniform_prior(inst)
+            key, q = optimal._route(tree)[0], p0.probs
+            lo, hi = _pair_mass_bounds(np.bincount(key, q), np.bincount(key, q * q), q.size)
+            size = np.bincount(key)
+            hi[size == 0] = -math.inf
+            contenders = np.flatnonzero(_contenders(lo, hi))
+            value = optimal._set_utility_fn(u, p0, inst)
+            every = min(value(np.flatnonzero(key == k)) for k in contenders)
+            with mock.patch.object(optimal, "_set_utility_fn") as make:
+                make.return_value = mock.Mock(side_effect=value)
+                got = f_worst(p0, u, tree)
+            singles = int((size[contenders] == 1).sum())
+            assert make.return_value.call_count == len(contenders) - max(singles - 1, 0)
+            assert got == every  # the same double as evaluating every contender
+            skipped += max(singles - 1, 0)
+        assert skipped > 0
 
     def test_ties_and_other_losses_take_the_dense_product(self):
         rng = np.random.default_rng(5)

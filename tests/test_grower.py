@@ -31,7 +31,7 @@ from poolal.policies import (
     select,
     select_batch_max_gibbs,
 )
-from poolal.utilities import zero_one_loss
+from poolal.utilities import hamming_loss, zero_one_loss
 
 
 def reference_branch_posterior(q, consistent, mask_xy):
@@ -205,6 +205,77 @@ class TestAgainstDenseReference:
             lambda: build_batch_policy(p, inst, 2, 2),
             lambda: reference_batch_policy(p, inst, 2, 2),
         )
+
+
+def forest_stack(inst, rng, n_trees):
+    """``n_trees`` priors for one forest: seeded kinds, with repeats and point masses."""
+    stack = []
+    for _ in range(n_trees):
+        draw = rng.random()
+        if stack and draw < 0.2:  # the same prior object again
+            stack.append(stack[int(rng.integers(len(stack)))])
+        elif draw < 0.35:  # a root that identification leaves empty
+            stack.append(pl.point_mass(inst, int(rng.integers(inst.n_hypotheses))))
+        else:
+            stack.append(make_prior(inst, KINDS[int(rng.integers(3))], rng))
+    if len(stack) > 1:  # and an equal copy
+        stack[-1] = pl.Prior(stack[0].probs.copy())
+    return stack
+
+
+def check_forest(inst, stack):
+    """Every criterion's forest over ``stack`` against one ``build_policy`` call per prior."""
+    X = inst.n_examples
+    runs = [(c, None) for c in policies.CRITERIA]
+    runs += [("worst_gen_gibbs", zero_one_loss(inst)), ("worst_gen_gibbs", hamming_loss(inst))]
+    for criterion, loss in runs:
+        for budget, stop in ((X, False), (max(1, X // 2), False), (X, True)):
+            forest = policies._build_forest(criterion, stack, inst, budget, loss, stop)
+            assert len(forest) == len(stack)
+            for tree, p in zip(forest, stack):
+                alone = build_policy(criterion, p, inst, budget, loss, stop)
+                assert policy_to_text(tree) == policy_to_text(alone)
+
+
+class TestForests:
+    """A stack of priors grows as one forest, tree for tree the trees grown one at a time."""
+
+    @pytest.mark.parametrize("n_labels", [2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded(self, seed, n_labels):
+        rng = np.random.default_rng([seed, n_labels, 13])
+        inst = small_case(seed, n_labels, "dirichlet")[0]
+        for n_trees in (1, 2, 5, inst.n_examples * n_labels + 3):  # the last chunks level 0
+            check_forest(inst, forest_stack(inst, rng, n_trees))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 20))
+    @settings(max_examples=25, deadline=None)
+    def test_generated(self, seed, n_labels, n_trees):
+        inst = small_case(seed, n_labels, "uniform")[0]
+        check_forest(inst, forest_stack(inst, np.random.default_rng(seed), n_trees))
+
+    def test_identified_roots_stay_empty(self):
+        rng = np.random.default_rng(3)
+        inst = pl.random_instance(3, 6, 2, rng=rng)
+        stack = [pl.point_mass(inst, 2), pl.random_prior(inst, rng), pl.point_mass(inst, 4)]
+        forest = policies._build_forest("gbs", stack, inst, 3, None, True)
+        assert [t.root is None for t in forest] == [True, False, True]
+        singles = [pl.point_mass(inst, i) for i in range(6)]
+        assert all(t.root is None for t in policies._build_forest("gbs", singles, inst, 3, None, True))
+
+    def test_rejects_an_empty_stack(self):
+        inst = pl.random_instance(2, 3, 2, rng=0)
+        with pytest.raises(ValueError, match="a forest needs at least one prior"):
+            policies._build_forest("max_gibbs", [], inst, 1, None, False)
+
+    def test_rejects_a_row_of_another_length(self):
+        inst = pl.random_instance(2, 3, 2, rng=0)
+        short = pl.Prior([0.5, 0.5])
+        with pytest.raises(ValueError) as alone:
+            build_policy("max_gibbs", short, inst, 1)
+        with pytest.raises(ValueError) as forest:
+            policies._build_forest("max_gibbs", [pl.uniform_prior(inst), short], inst, 1, None, False)
+        assert str(forest.value) == str(alone.value) == "prior has 2 entries for 3 hypotheses"
 
 
 def widest_level(tree):

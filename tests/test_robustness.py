@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import poolal as pl
 from poolal.robustness import (
     ALPHA_GREEDY,
     BoundReport,
+    _perturbed_with_support,
     check_avg_bound,
     check_batch_avg_bound,
     check_mincost_bound,
@@ -292,6 +294,39 @@ class TestSweep:
     def test_radius_checked_before_it_seeds(self, radius):
         with pytest.raises(ValueError, match=r"perturbation radius must lie in \[0, 2\]"):
             sweep_reports(n_instances=1, radii=(0.1, radius))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forests_give_the_public_checks_reports(self, seed):
+        # six radii on 2 x 4 instances: each forest's six roots outnumber the X * Y rows the
+        # grower densifies at a time
+        radii = (0.0, 0.05, 0.1, 0.3, 0.5, 2.0)
+        got = sweep_reports(4, radii, seed, max_examples=2, max_hypotheses=4)
+        want, rng, u_vsr = [], np.random.default_rng(seed), VersionSpaceReduction()
+        for trial in range(4):  # the sweep's draws, each tree built alone from its name
+            n_x = int(rng.integers(2, 3))
+            inst = pl.random_instance(n_x, min(int(rng.integers(3, 5)), 2**n_x), 2, rng=rng)
+            p0, b = pl.random_prior(inst, rng), min(2, n_x)
+            u_gen = GeneralizedReduction(zero_one_loss(inst))
+            for radius in radii:
+                p1 = pl.perturb(p0, radius, seed=[seed, trial, int(radius * 1000)])
+                p1_cov = _perturbed_with_support(p0, radius, [seed, trial, int(radius * 1000)])
+                for name, r in (
+                    ("avg_vsr_max_gibbs",
+                     check_avg_bound(inst, p0, p1, u_vsr, "max_gibbs", ALPHA_GREEDY, b)),
+                    ("worst_vsr_least_confidence",
+                     check_worst_bound(inst, p0, p1, u_vsr, "least_confidence", ALPHA_GREEDY, b)),
+                    ("worst_gen_gibbs_01",
+                     check_worst_bound(inst, p0, p1, u_gen, "worst_gen_gibbs", ALPHA_GREEDY, b)),
+                    ("mincost_gbs", check_mincost_bound(inst, p0, p1_cov, "gbs")),
+                ):
+                    want.append(replace(r, bound=name, params={**r.params, "trial": trial, "radius": radius}))
+            k = int(rng.integers(1, 5))
+            components = [pl.random_prior(inst, rng) for _ in range(k)]
+            for r in check_mixture_bounds(inst, components, int(rng.integers(k))):
+                want.append(replace(r, params={**r.params, "trial": trial}))
+        assert len(got) == len(want) == 4 * (4 * len(radii) + 2)
+        for g, w in zip(got, want):
+            assert repr(g) == repr(w)  # every field, floats to the last bit
 
     def test_report_slack_orientation(self):
         up = BoundReport.at_least("x", 1.0, 0.5, {})

@@ -51,7 +51,7 @@ def grower_branches(p, inst, xi):
     """
     with pytest.MonkeyPatch.context() as patch:
         rows = record_densified(patch)
-        _grow_rounds(p, inst, 1, lambda P, avail: [(xi, xi)] * len(P))
+        _grow_rounds(p.probs[None], inst, 1, lambda P, avail: [(xi, xi)] * len(P))
     return rows
 
 
