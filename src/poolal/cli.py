@@ -297,7 +297,15 @@ def cmd_gen_instance(opts) -> int:
 # ---------------------------------------------------------------------------
 # Options: each command's flags in --help order, as {flag: argparse keywords}
 
-_SEED = {"--seed": dict(type=int, default=0)}
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_nonnegative_int.__name__ = "nonnegative int"  # the type argparse and config errors name
+_SEED = {"--seed": dict(type=_nonnegative_int, default=0)}
 _MU = {"--mu": dict(type=float, default=0.01)}
 _BUDGET = {"--budget": dict(type=int)}  # no default: run and optimal need one
 _INSTANCE_OPTS = {

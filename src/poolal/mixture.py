@@ -1,17 +1,17 @@
 """Active learning with a mixture of priors, updated sequentially.
 
 The state keeps one posterior per component plus a normalized weight
-vector.  After each query the weights are reweighted by the components'
-predictive probabilities for the observed label and each posterior does
-its own Bayes update, so the state is an incremental factorization of
-the posterior under the flattened mixture prior.  Components may be
-deterministic (a prior over labelings) or probabilistic (a weighted
-ensemble of per-example predictors).  Picks and predicted labels are
-certified from one product of the flattened posterior Σ w·q plus a
-rounding-error bound that holds for any summation order
-(``MixtureState._bounds``, decided by ``utilities._certified_argmax``); only
-what it cannot separate, exact ties included, reads the dense
-per-component table, so no decision changes.
+vector, an incremental factorization of the posterior under the
+flattened mixture prior: after each query the weights are reweighted by
+the components' predictive probabilities for the observed label and each
+posterior does its own Bayes update.  Components may be deterministic (a
+prior over labelings) or probabilistic (a weighted ensemble of
+per-example predictors).  A state also carries its version space V and
+Σ w·q at V, which an observation updates at V only.  Picks and predicted
+labels are certified from one product of Σ w·q plus a rounding-error
+bound that holds for any summation order (``MixtureState._bounds``,
+decided by ``utilities._certified_argmax``); only what it cannot
+separate, exact ties included, reads the dense per-component table.
 """
 
 from __future__ import annotations
@@ -85,26 +85,43 @@ class MixtureState:
         return marg
 
     @functools.cached_property
+    def _carried(self) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """(V, F, r, a): ascending indices V outside which every live prior is zero, Σ w·q at V,
+        and its error terms (see ``_bounds``).  ``mixture_observe`` carries them forward; a state
+        built any other way starts here, from every hypothesis."""
+        live = [(w, c) for w, c in self.components if w != 0.0]
+        n, k = self.instance.n_hypotheses, len(live)
+        return np.arange(n), _flat_mass(live, n), k, n * k * 2.0**-1074
+
+    @functools.cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds (lo, hi) on every entry of ``_marginals`` on any BLAS kernel, from one product
-        of the flattened posterior (k live components, H hypotheses, γ from ``_gamma``).  A
-        table entry is ``out += w * t`` over the live components in order, each t summing at
-        most H exact products (the one-hot entries are 0 or 1): Σ w·T·(1 + θ), |θ| <= γ_{H+k}, T
-        exact.  The float m = (Σ w·q) @ onehot, plus each ensemble's ``w * table``, is within
-        γ_{H+2k+1} of the same sum.  Products that underflow move the two by at most (H + 2)·k·
-        2⁻¹⁰⁷⁵, so the entry lies in [m(1 − δ) − τ, m(1 + δ) + τ], δ = 2(γ_{H+k} + γ_{H+2k+1})
-        and τ = 2(H + 1)·k·2⁻¹⁰⁷⁴: the factors 2 cover the rounding of this arithmetic.
+        """Bounds (lo, hi) on every entry of ``_marginals`` on any BLAS kernel, from one product of
+        the carried Σ w·q, F (k live components, H hypotheses, Y labels, γ from ``_gamma``).  A
+        table entry is ``out += w * t`` over the live components in order, each t summing at most H
+        exact products (the one-hot entries are 0 or 1): Σ w·T·(1 + θ), |θ| <= γ_{H+k}, T exact, up
+        to k·2⁻¹⁰⁷⁵ of underflow.  Each F[h] is within e[h] of Σ w·q[h]·(1 + θ_w), |θ_w| <= γ_r,
+        with Σe <= a; ``_flat_mass`` starts at r = k and a = H·k·2⁻¹⁰⁷⁴.  An observation of total T
+        divides F by T at V: each likelihood cancels in exact arithmetic, and the new weight,
+        posterior entry and F[h] add four roundings (r += 4); their underflows, weights that
+        underflow to 0 and e/T make a' = 2(a + (k + 1)(|V| + 2)·2⁻¹⁰⁷⁴)/T for the k live components
+        before it.  The float m, F times the first Y − 1 label rows of each example plus each
+        ensemble's ``w * table``, is within γ_{H+k+1+r} and a + k·2⁻¹⁰⁷⁵ of the same sum, so the
+        entry lies in [m(1 − δ) − τ, m(1 + δ) + τ], δ = 2(γ_{H+k} + γ_{H+k+1+r}) and
+        τ = 2(a + k·2⁻¹⁰⁷⁴).  The last label's entry, F's total s minus the others, adds
+        4(γ_{H+r+Y}·s + a) to τ.  The factors 2 and 4 cover the rounding of this arithmetic.
         """
         inst, live = self.instance, [(w, c) for w, c in self.components if w != 0.0]
-        m = np.zeros((inst.n_examples, inst.n_labels))
+        V, F, r, a = self._carried
+        m, s = np.zeros((inst.n_examples, inst.n_labels)), 0.0
         if any(isinstance(c, Prior) for _, c in live):
-            m = label_marginals(Prior._trusted(_flat_mass(live, inst.n_hypotheses)), inst)
+            m, s = _flat_marginals(inst, V, F)
         for w, comp in live:
             if not isinstance(comp, Prior):
                 m += w * _component_marginals(comp, inst)
         n, k = inst.n_hypotheses, len(live)
-        delta = 2 * sum(_gamma(j) for j in (n + k, n + 2 * k + 1))
-        tau = 2 * (n + 1) * k * 2.0**-1074
+        delta = 2 * sum(_gamma(j) for j in (n + k, n + k + 1 + r))
+        tau = np.full(inst.n_labels, 2 * (a + k * 2.0**-1074))
+        tau[-1] += 4 * (_gamma(n + r + inst.n_labels) * s + a)
         return np.maximum(m * (1 - delta) - tau, 0.0), m * (1 + delta) + tau
 
 
@@ -150,12 +167,13 @@ def _component_likelihood(comp: Component, xi: int, yi: int, mask: np.ndarray) -
 
 
 def _component_update(
-    comp: Component, like: float, mask: np.ndarray, xi: int, yi: int, inside=None
+    comp: Component, like: float, mask: np.ndarray, xi: int, yi: int
 ) -> Component:
-    """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0."""
-    if isinstance(comp, Prior):  # the doubles of core.posterior; ``inside``: probs[mask], if taken
-        probs = np.zeros(comp.probs.size)
-        probs[mask] = (comp.probs[mask] if inside is None else inside) / like  # 0 / like is 0 too
+    """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0; a
+    prior keeps its entries at ``mask`` (flags or indices covering its support there) / like."""
+    if isinstance(comp, Prior):  # the doubles of core.posterior: 0 / like is 0 too
+        probs, inside = np.zeros(comp.probs.size), comp.probs[mask]
+        probs[mask] = np.divide(inside, like, out=inside)
         return Prior._trusted(probs)
     # members keep their own normalizer: the dot product ``like`` may be an ulp off
     new_w = comp.weights * comp.probs[:, xi, yi]
@@ -238,32 +256,36 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     zero keep their old posterior at weight zero.
     """
     inst = state.instance
-    idx = np.flatnonzero(_consistent_mask(inst, [(x, y)]))  # rejects an unknown example or label
+    mask = _consistent_mask(inst, [(x, y)])  # rejects an unknown example or label
     if x in state.transcript.examples:
         raise ValueError(f"example {x!r} was already queried")
     xi, yi = inst.example_index[x], inst.label_index[y]
-    insides = [c.probs.take(idx) if isinstance(c, Prior) else None for c in state.posteriors]
-    likelihoods = np.array([  # a prior's mass inside the mask, taken once, sums to its likelihood
-        _component_likelihood(c, xi, yi, idx) if m is None else float(m.sum())
-        for c, m in zip(state.posteriors, insides)
-    ])
+    idx = np.flatnonzero(mask)
+    V, F, r, a = state._carried
+    keep = np.flatnonzero(mask[V])
+    V, F = V.take(keep), F.take(keep)  # the new version space, and Σ w·q there
+    likelihoods = np.array([_component_likelihood(c, xi, yi, idx) for c in state.posteriors])
     new_weights = state.weights * likelihoods
     total = float(new_weights.sum())
     if total <= 0.0:
         raise ImpossibleObservationError(
             f"label {y!r} for example {x!r} has zero probability under the mixture"
         )
-    new_posteriors = tuple(
-        _component_update(comp, like, idx, xi, yi, m) if like > 0.0 else comp  # dead: weight 0
-        for comp, like, m in zip(state.posteriors, likelihoods, insides)
+    new_posteriors = tuple(  # a dead component (weight 0) may hold mass outside V
+        _component_update(comp, like, V if w != 0.0 else idx, xi, yi) if like > 0.0 else comp
+        for w, comp, like in zip(state.weights, state.posteriors, likelihoods)
     )
-    return MixtureState(
+    new = MixtureState(
         inst,
         new_weights / total,
         new_posteriors,
         state.step + 1,
         LabeledSet(state.transcript.pairs + ((x, y),)),
     )
+    k = np.count_nonzero(state.weights)
+    a = 2 * (a + (k + 1) * (V.size + 2) * 2.0**-1074) / total  # see ``MixtureState._bounds``
+    object.__setattr__(new, "_carried", (V, np.divide(F, total, out=F), r + 4, a))
+    return new
 
 
 def mixture_step(
@@ -351,6 +373,20 @@ def _flat_mass(components, n: int) -> np.ndarray:
         if isinstance(comp, Prior):
             flat += np.multiply(comp.probs, w, out=term)
     return flat
+
+
+def _flat_marginals(inst: Instance, V: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float]:
+    """Label marginals of F at V (zero elsewhere) and its float total s, from the first Y − 1
+    label rows of each example (strided views of ``label_onehot``); the last is s − the others."""
+    n_y = inst.n_labels
+    flat = np.zeros(inst.n_hypotheses)
+    flat[V] = F
+    m = np.empty((inst.n_examples, n_y))
+    for yi in range(n_y - 1):
+        m[:, yi] = inst.label_onehot[yi::n_y] @ flat
+    s = float(F.sum())
+    m[:, -1] = s - m[:, :-1].sum(axis=1)
+    return m, s
 
 
 # ---------------------------------------------------------------------------

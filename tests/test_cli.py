@@ -457,6 +457,20 @@ def test_verify_without_trials_is_a_usage_error(capsys, trials):
     assert err == f"error: n_instances must be a positive integer, got {trials}\n"
 
 
+@pytest.mark.parametrize(
+    "command", [name for name, (_, _, options) in cli._COMMANDS.items() if "--seed" in options]
+)
+def test_negative_seed_is_an_error_naming_the_option(capsys, tmp_path, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--seed", "-1"])
+    assert stop.value.code == 2
+    assert "argument --seed: invalid nonnegative int value: '-1'" in capsys.readouterr().err
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("seed=-1\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {cfg}:1: seed: invalid nonnegative int value '-1'\n")
+
+
 HELP_DIR = Path(__file__).with_name("cli_help")
 
 
@@ -554,10 +568,12 @@ def _resolved(monkeypatch, argv):
 
 
 def _sample(keywords):
-    """A value for an option that is not its default; negative numbers on purpose."""
+    """A value for an option that is not its default; negative numbers on purpose, where the
+    option's type admits them."""
     if "choices" in keywords:
         return keywords["choices"][-1]
-    return {int: "-3", float: "-0.25", str: "a,b.csv"}[keywords.get("type", str)]
+    samples = {int: "-3", float: "-0.25", str: "a,b.csv", cli._nonnegative_int: "3"}
+    return samples[keywords.get("type", str)]
 
 
 @pytest.mark.parametrize(

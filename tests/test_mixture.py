@@ -1,9 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poolal as pl
+from poolal import mixture
 from poolal.mixture import (
     ImpossibleObservationError,
+    MixtureState,
     flattened_prior,
     grid_task,
     initial_state,
@@ -355,3 +361,168 @@ def test_state_rejects_non_finite_weights(square, bad):
     comps = [pl.uniform_prior(square), pl.Prior([0.4, 0.3, 0.2, 0.1])]
     with pytest.raises(ValueError, match="finite"):
         initial_state(square, comps, [bad, 1.0])
+
+
+def dense_observe(state, x, y):
+    """The whole-column reference update: every prior posterior with a positive likelihood is
+    rewritten over the observed label's whole column.  Returns (weights, likelihoods,
+    posteriors), or None when the observation is impossible."""
+    inst = state.instance
+    xi, yi = inst.example_index[x], inst.label_index[y]
+    idx = np.flatnonzero(inst.label_columns[xi] == yi)
+    likes = np.array([
+        float(c.probs.take(idx).sum()) if isinstance(c, pl.Prior)
+        else float(c.weights @ c.probs[:, xi, yi])
+        for c in state.posteriors
+    ])
+    new_weights = state.weights * likes
+    total = float(new_weights.sum())
+    if total <= 0.0:
+        return None
+    posteriors = []
+    for c, like in zip(state.posteriors, likes):
+        if not like > 0.0:
+            posteriors.append(c)
+        elif isinstance(c, pl.Prior):
+            probs = np.zeros(c.probs.size)
+            probs[idx] = c.probs.take(idx) / like
+            posteriors.append(pl.Prior._trusted(probs))
+        else:
+            w = c.weights * c.probs[:, xi, yi]
+            posteriors.append(c.reweighted(w / float(w.sum())))
+    return new_weights / total, likes, posteriors
+
+
+def component_bytes(c):
+    return (c.probs if isinstance(c, pl.Prior) else c.weights).tobytes()
+
+
+def observe_like_dense(state, x, y):
+    """``mixture_observe(state, x, y)``, checked byte for byte against ``dense_observe``; None
+    when both find the observation impossible."""
+    expected = dense_observe(state, x, y)
+    likes = []
+    real = mixture._component_likelihood
+
+    def spy(*args):
+        likes.append(real(*args))
+        return likes[-1]
+
+    with mock.patch.object(mixture, "_component_likelihood", spy):
+        try:
+            new = mixture_observe(state, x, y)
+        except ImpossibleObservationError:
+            assert expected is None
+            return None
+    weights, want_likes, posteriors = expected
+    assert np.array(likes).tobytes() == want_likes.tobytes()
+    assert new.weights.tobytes() == weights.tobytes()
+    assert [component_bytes(c) for c in new.posteriors] == [component_bytes(c) for c in posteriors]
+    if all(isinstance(c, pl.Prior) for c in posteriors):
+        flat = np.zeros(state.instance.n_hypotheses)  # the flattened prior's own sum, in order
+        for w, c in zip(weights.tolist(), posteriors):
+            flat += c.probs * w
+        assert flattened_prior(new).probs.tobytes() == flat.tobytes()
+    return new
+
+
+def observe_all(state, truth, order):
+    """Observe ``truth``'s labels in ``order`` through ``observe_like_dense``; the last state."""
+    for xi in order:
+        x = state.instance.examples[xi]
+        new = observe_like_dense(state, x, truth.label_of(x))
+        if new is None:
+            break
+        state = new
+    return state
+
+
+def sparse_prior(inst, rng, alpha=0.3, zeros=0.5):
+    probs = rng.dirichlet(np.full(inst.n_hypotheses, alpha))
+    probs[rng.random(inst.n_hypotheses) < zeros] = 0.0
+    if probs.sum() == 0.0:
+        probs[int(rng.integers(inst.n_hypotheses))] = 1.0
+    return pl.Prior(probs / probs.sum())
+
+
+def random_ensemble(inst, rng, n_members=3):
+    table = rng.dirichlet(np.ones(inst.n_labels), size=(n_members, inst.n_examples))
+    return pl.ModelEnsemble(inst, rng.dirichlet(np.ones(n_members)), table)
+
+
+class TestObserveBytes:
+    """The version-space update of ``mixture_observe`` against the whole-column dense update."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grid_trajectories(self, seed):
+        inst, components = grid_task(12, 4)
+        rng = np.random.default_rng([seed, 31])
+        truth = sample_truth(inst, components, rng)
+        observe_all(initial_state(inst, components), truth, rng.permutation(inst.n_examples))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_mixtures(self, seed, n_labels, n_priors, ensemble):
+        rng = np.random.default_rng(seed)
+        n_examples = int(rng.integers(2, 6))
+        inst = pl.random_instance(
+            n_examples, min(int(rng.integers(1, 60)), n_labels**n_examples), n_labels, rng=rng
+        )
+        components = [sparse_prior(inst, rng) for _ in range(n_priors)]
+        if ensemble:
+            components.insert(int(rng.integers(n_priors + 1)), random_ensemble(inst, rng))
+        weights = rng.dirichlet(np.ones(len(components)))
+        weights[rng.random(len(components)) < 0.2] = 0.0
+        if weights.sum() == 0.0:
+            weights[0] = 1.0
+        state = initial_state(inst, components, weights / weights.sum())
+        truth = inst.hypothesis(int(rng.integers(inst.n_hypotheses)))
+        observe_all(state, truth, rng.permutation(n_examples))
+
+    def test_dead_component_revived_by_a_later_label(self):
+        # the second prior gives x0 = '1' no mass, so it dies holding mass where x0 = '0', outside
+        # V; observing x1 then gives it a positive likelihood, and it is updated over the whole
+        # column at weight 0
+        inst = pl.full_hypothesis_space(("x0", "x1", "x2"), ("0", "1"))
+        x0_is_0 = inst.label_columns[0] == 0
+        rng = np.random.default_rng(3)
+        probs = np.where(x0_is_0, rng.random(inst.n_hypotheses), 0.0)
+        dying = pl.Prior(probs / probs.sum())
+        state = initial_state(inst, [pl.uniform_prior(inst), dying])
+        state = observe_like_dense(state, "x0", "1")
+        assert state.weights[1] == 0.0 and state.posteriors[1] is dying
+        state = observe_like_dense(state, "x1", "0")
+        revived = state.posteriors[1].probs
+        assert np.any(revived[~x0_is_0] == 0.0) and np.any(revived[x0_is_0] > 0.0)
+        observe_like_dense(state, "x2", "1")
+
+    def test_weights_underflowing_to_zero(self):
+        inst, (a, b, c, d) = grid_task(8, 4)
+        # c and d give x0 = '1' about 0.02, so their subnormal weights round to 0
+        weights = [1.0 - 2.0**-60, 2.0**-60 - 2.0**-1073, 2.0**-1074, 2.0**-1074]
+        state = initial_state(inst, [a, b, c, d], weights)
+        new = observe_like_dense(state, "x0", "1")
+        assert new.weights[2] == 0.0 < state.weights[2]  # updated, then dead at weight 0
+        assert new.posteriors[2] is not c
+        truth = inst.hypothesis(int(np.flatnonzero(inst.label_columns[0] == 1)[77]))
+        observe_all(new, truth, range(1, inst.n_examples))
+
+    def test_hand_built_state_with_mass_off_the_transcript(self, square):
+        # a state whose transcript says x0 = '0' while its posteriors still hold mass where
+        # x0 = '1': its version space must cover every hypothesis
+        p, q = pl.Prior([0.1, 0.2, 0.3, 0.4]), pl.Prior([0.4, 0.0, 0.0, 0.6])
+        state = MixtureState(square, np.array([0.5, 0.5]), (p, q), 1, pl.LabeledSet((("x0", "0"),)))
+        new = observe_like_dense(state, "x1", "1")
+        assert new.posteriors[0].probs.tolist() == [0.0, 0.0, 0.3 / 0.7, 0.4 / 0.7]
+
+    def test_negative_zero_entries(self):
+        inst = pl.full_hypothesis_space(("x0", "x1", "x2"), ("0", "1"))
+        probs = np.linspace(1.0, 2.0, inst.n_hypotheses)
+        probs[[1, 2, 5, 6]] = -0.0
+        p = pl.Prior(probs / probs.sum())
+        point = np.full(inst.n_hypotheses, -0.0)
+        point[0] = 1.0
+        state = initial_state(inst, [p, pl.Prior(point), pl.uniform_prior(inst)])
+        for x, y in (("x0", "1"), ("x1", "0"), ("x2", "1")):
+            state = observe_like_dense(state, x, y)
+            assert np.signbit(state.posteriors[0].probs).any()  # a -0.0 inside V keeps its sign

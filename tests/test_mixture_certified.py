@@ -280,9 +280,9 @@ def gamma(n):
     return n * U / (1 - n * U)
 
 
-def random_state(rng, inst, n_components, subnormal):
-    """A state of up to 8 components (priors, some with subnormal masses, and ensembles) with
-    tiny weights among them, after a few observations."""
+def random_start(rng, inst, n_components, subnormal):
+    """A step-0 state of up to 8 components (priors, some with subnormal masses, and ensembles)
+    with tiny weights among them, and a labeling its first prior gives positive mass."""
     components = [with_subnormals(inst, rng) if subnormal else dirichlet_prior(inst, rng)]
     for _ in range(n_components - 1):
         kind = rng.integers(3)
@@ -295,8 +295,13 @@ def random_state(rng, inst, n_components, subnormal):
     if subnormal and n_components > 1:
         weights[1:] *= 2.0 ** -rng.integers(0, 1075, size=n_components - 1).astype(float)
         weights[0] = 1.0 - weights[1:].sum()
-    state = initial_state(inst, components, weights)
     truth = inst.label_matrix[int(np.argmax(components[0].probs))]
+    return initial_state(inst, components, weights), truth
+
+
+def random_state(rng, inst, n_components, subnormal):
+    """A ``random_start`` state after a few observations."""
+    state, truth = random_start(rng, inst, n_components, subnormal)
     for xi in rng.permutation(inst.n_examples)[: int(rng.integers(0, inst.n_examples))].tolist():
         state = mixture_observe(state, inst.examples[xi], inst.labels[truth[xi]])
     return state
@@ -382,23 +387,105 @@ class TestBound:
                 assert lo[xi, yi] <= legacy[xi, yi] <= hi[xi, yi]
 
 
+def exact_flat(state):
+    """Σ w·q[h] over the live prior components, in rationals."""
+    flat = [Fraction(0)] * state.instance.n_hypotheses
+    for w, comp in state.components:
+        if w != 0.0 and isinstance(comp, pl.Prior):
+            for h, q in enumerate(comp.probs.tolist()):
+                flat[h] += Fraction(w) * Fraction(q)
+    return flat
+
+
+def check_chained_bounds(state):
+    """The carried flat within its stated error of the exact Σ w·q, and every exact table entry,
+    the last label's (the complement) included, inside (lo, hi)."""
+    V, F, r, a = state._carried
+    carried = np.zeros(state.instance.n_hypotheses)
+    carried[V] = F
+    exact, inside = exact_flat(state), set(V.tolist())
+    assert all(e == 0 for h, e in enumerate(exact) if h not in inside)
+    beyond = sum(
+        max(Fraction(0), abs(Fraction(f) - e) - gamma(r) * e)
+        for f, e in zip(carried.tolist(), exact)
+    )
+    assert beyond <= Fraction(a)
+    table = exact_table(state)
+    lo, hi = state._bounds
+    for xi, row in enumerate(table):
+        for yi, e in enumerate(row):
+            assert Fraction(float(lo[xi, yi])) <= e <= Fraction(float(hi[xi, yi]))
+    return lo, hi
+
+
+def chain(state, labels, order):
+    """``state`` and every state after it as ``labels`` come in ``order``."""
+    states = [state]
+    for xi in order:
+        x = state.instance.examples[xi]
+        states.append(mixture_observe(states[-1], x, state.instance.labels[labels[xi]]))
+    return states
+
+
+class TestChainedBound:
+    """``_bounds`` on states reached by up to 8 observations, each carrying the flat posterior
+    forward, against the exact table in rational arithmetic."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_value_inside_bounds(self, seed, n_components, subnormal):
+        rng = np.random.default_rng(seed)
+        n_labels = int(rng.integers(2, 4))
+        n_examples = int(rng.integers(1, 9))
+        inst = pl.random_instance(
+            n_examples, min(int(rng.integers(1, 13)), n_labels**n_examples), n_labels, rng=rng
+        )
+        start, truth = random_start(rng, inst, n_components, subnormal)
+        for state in chain(start, truth, rng.permutation(n_examples)):
+            check_chained_bounds(state)
+
+    @pytest.mark.parametrize("labels", [(0, 0, 0, 0, 0, 0, 0, 0), (1, 0, 1, 1, 0, 1, 0, 1)])
+    def test_subnormal_masses_and_complement_entries(self, labels):
+        # every labeling but the all-'0' one holds a subnormal mass, so the label-'1' entries,
+        # which the bound reads as the total minus the label-'0' entry, are subnormal or tiny
+        inst = binary_space(8)
+        rng = np.random.default_rng(sum(labels))
+        components = []
+        for _ in range(2):
+            probs = rng.integers(1, 2**20, size=inst.n_hypotheses) * 2.0**-1074
+            probs[0] = 1.0
+            components.append(pl.Prior(probs))
+        start = initial_state(inst, components, [0.3, 0.7])
+        for state in chain(start, labels, range(8)):
+            lo, hi = check_chained_bounds(state)
+            dense = _weighted_marginals(state, False)
+            assert np.all(lo <= dense) and np.all(dense <= hi)
+
+
 def test_grid_unit_makes_one_product_per_state():
-    """The ``grid`` benchmark unit: one flattened product per decided state, the four
-    per-component products only where a decision falls back, and the parent's rows."""
+    """The ``grid`` benchmark unit: one reduced product of the carried flat posterior per
+    decided state, the four per-component products only where a decision falls back, and the
+    parent's rows."""
     rows_made, fallbacks = [], []
-    real_rows, real_table = core._marginal_rows, mixture._weighted_marginals
+    real_rows, real_flat, real_table = (
+        core._marginal_rows, mixture._flat_marginals, mixture._weighted_marginals
+    )
 
     def counting_rows(inst, P):
         rows_made.append(len(P))
         return real_rows(inst, P)
+
+    def counting_flat(inst, V, F):
+        rows_made.append(1)
+        return real_flat(inst, V, F)
 
     def counting_table(state, use_map):
         fallbacks.append(state)  # only a decision the bound leaves open reads the dense table
         return real_table(state, use_map)
 
     with mock.patch.object(core, "_marginal_rows", counting_rows), mock.patch.object(
-        mixture, "_weighted_marginals", counting_table
-    ):
+        mixture, "_flat_marginals", counting_flat
+    ), mock.patch.object(mixture, "_weighted_marginals", counting_table):
         rows, means = mixture_trajectories(
             *grid_task(16, 4), budget=8, n_seeds=1, with_passive=True, seed=0
         )
@@ -410,3 +497,19 @@ def test_grid_unit_makes_one_product_per_state():
     ).hexdigest()
     assert digest == "f817bfce6c5bea4d0ee9fd24a137b519ce082c7f6b093904c23c7329beb977de"
     assert means == {"al": 1.0, "passive": 1.0}
+
+
+def test_grid_pool_reads_the_dense_table_six_times():
+    """The ``grid`` benchmark's 64 pool units (seeds 0-63, budget 8, with passive): the bound
+    leaves exactly 6 of their decisions to the dense per-component table."""
+    fallbacks = []
+    real_table = mixture._weighted_marginals
+
+    def counting_table(state, use_map):
+        fallbacks.append(state)
+        return real_table(state, use_map)
+
+    with mock.patch.object(mixture, "_weighted_marginals", counting_table):
+        for seed in range(64):
+            mixture_trajectories(*grid_task(16, 4), 8, 1, with_passive=True, seed=seed)
+    assert len(fallbacks) == 6
