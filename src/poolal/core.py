@@ -241,6 +241,8 @@ def random_instance(
 ) -> Instance:
     """Hypotheses drawn uniformly without replacement from the full labeling space."""
     rng = np.random.default_rng(rng)
+    if n_examples < 1 or n_labels < 2:  # before the space's size, which would blame n_hypotheses
+        raise ValueError(f"an instance needs at least {'one example' if n_examples < 1 else 'two labels'}")
     total = n_labels**n_examples
     if total >= 2**63:  # numpy draws the labeling codes as int64
         raise ValueError(f"the labeling space {n_labels}**{n_examples} must be smaller than 2**63")

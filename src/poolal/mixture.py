@@ -262,7 +262,7 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     xi, yi = inst.example_index[x], inst.label_index[y]
     idx = np.flatnonzero(mask)
     V, F, r, a = state._carried
-    keep = np.flatnonzero(mask[V])
+    keep = idx if V.size == inst.n_hypotheses else np.flatnonzero(mask[V])  # V of all: idx itself
     V, F = V.take(keep), F.take(keep)  # the new version space, and Σ w·q there
     likelihoods = np.array([_component_likelihood(c, xi, yi, idx) for c in state.posteriors])
     new_weights = state.weights * likelihoods

@@ -6,19 +6,22 @@ branches that no hypothesis can produce are marked unreachable (no
 child).  Every tie anywhere breaks toward the lowest pool index, so
 identical inputs always yield identical trees and transcripts.
 
-Greedy trees grow a level at a time: up to X * Y node posteriors are
-scored together, from one stacked product that gives each row the bits
-of ``label_marginals``; each child's mass stays a 1-D sum of its own.
-A stack of priors grows as one forest, its roots the first level's nodes.
-``select`` and ``greedy_transcript`` pick with the same code, one row at a time.
-Under the built-in 0-1 loss, bounds on closed-form pair masses let
-``utilities._certified_argmax`` decide most ``worst_gen_gibbs`` picks.
+Greedy trees grow a level at a time.  Up to X * Y nodes are scored from
+one stacked product that gives each row the bits of ``label_marginals``.
+A wider level picks from per-node label sums, bitwise those of the product
+or bounded (``utilities._certified_argmax``), and densifies only the nodes
+they leave open.  A stack of priors grows as one forest.  ``select`` and
+``greedy_transcript`` pick with the same code, one row at a time.  Under
+the 0-1 loss, bounds on closed-form pair masses decide most
+``worst_gen_gibbs`` picks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,7 +35,7 @@ from .core import (
     label_marginals,  # unused here, but perfbench's tracer rebinds it in every importing module
     posterior,
 )
-from .utilities import LossMatrix, _certified_argmax, _check_loss, _pair_mass_bounds, zero_one_loss
+from .utilities import LossMatrix, _certified_argmax, _check_loss, _gamma, _pair_mass_bounds, zero_one_loss
 
 CRITERIA = ("max_gibbs", "least_confidence", "max_entropy", "gbs", "worst_gen_gibbs")
 
@@ -136,25 +139,28 @@ def _worst_gen_gibbs_gains(
     return pair_mass[0] - pair_mass[inverse].reshape(len(candidates), inst.n_labels).max(axis=1)
 
 
+def _worst_gen_gibbs_certified(s: np.ndarray, ss: np.ndarray, avail: np.ndarray, n: int) -> np.ndarray:
+    """Each row's ``worst_gen_gibbs`` pick under the 0-1 loss, or -1, from sums s and ss of its
+    ``n`` entries and their squares per (example, label), in any order: ``_pair_mass_bounds``
+    bounds each branch's pair mass and the row's (the branches', summed), so by monotone rounding
+    each gain lies in [lo_row − max hi, hi_row − max lo] on any BLAS kernel."""
+    sums = np.stack([s, ss])
+    sums = np.concatenate([sums, sums.sum(axis=3, keepdims=True)], axis=3)  # + the row's
+    lo, hi = _pair_mass_bounds(*sums, n)  # (rows, X, Y + 1)
+    gain_lo = np.where(avail, lo[..., -1] - hi[..., :-1].max(axis=2), -math.inf)
+    gain_hi = np.where(avail, hi[..., -1] - lo[..., :-1].max(axis=2), -math.inf)
+    return _certified_argmax(gain_lo, gain_hi)
+
+
 def _worst_gen_gibbs_picks(
     inst: Instance, P: np.ndarray, avail: np.ndarray, loss: LossMatrix
 ) -> np.ndarray:
-    """Each row's ``worst_gen_gibbs`` pick among the examples its ``avail`` row flags.
-
-    Under the 0-1 loss, ``_pair_mass_bounds`` bounds the pair mass of every label branch, and
-    of the row (each example's branch sums, summed), from two stacked products.  Rounding is
-    monotone, so each gain of ``_worst_gen_gibbs_gains`` lies in [lo_row − max hi, hi_row −
-    max lo] on any BLAS kernel, and ``_certified_argmax`` decides from those brackets.  Rows it
-    leaves open, and other losses, take the argmax of the dense gains.
-    """
+    """Each row's ``worst_gen_gibbs`` pick among the examples its ``avail`` row flags: certified
+    under the 0-1 loss from two stacked products, else the argmax of the dense gains."""
     picks = np.full(len(P), -1)
     if loss._zero_one:
         sums = _marginal_rows(inst, np.concatenate([P, P * P])).reshape(2, *avail.shape, -1)
-        sums = np.concatenate([sums, sums.sum(axis=3, keepdims=True)], axis=3)  # + the row's
-        lo, hi = _pair_mass_bounds(*sums, inst.n_hypotheses)  # (rows, X, Y + 1)
-        gain_lo = np.where(avail, lo[..., -1] - hi[..., :-1].max(axis=2), -math.inf)
-        gain_hi = np.where(avail, hi[..., -1] - lo[..., :-1].max(axis=2), -math.inf)
-        picks = _certified_argmax(gain_lo, gain_hi)
+        picks = _worst_gen_gibbs_certified(*sums, avail, inst.n_hypotheses)
     for i in np.flatnonzero(picks < 0):
         candidates = avail[i].nonzero()[0]
         gains = _worst_gen_gibbs_gains(Prior._trusted(P[i]), inst, candidates, loss)
@@ -169,6 +175,54 @@ def _picks(criterion: str, inst: Instance, P: np.ndarray, avail: np.ndarray, los
         return _worst_gen_gibbs_picks(inst, P, avail, loss)
     scores = _row_scores(criterion, _marginal_rows(inst, P))
     return np.where(avail, scores, -math.inf).argmax(axis=1)
+
+
+def _level_sums(inst: Instance, node, hyp, val, n: int, squares: bool = False) -> list:
+    """Per frontier node, example and label, (n, X, Y): the sum S of the node's ``val`` entries
+    with that label in entry order, whether at most two of its terms are positive, and with
+    ``squares`` the sum of their squares.  S sums the exact products of ``label_onehot @ row``
+    in another order, so with at most two positive terms (a + b commutes, adding +0.0 is exact)
+    it is bitwise the product's entry, but for the sign of a zero."""
+    X, Y = inst.n_examples, inst.n_labels
+    key = ((node * X)[:, None] + np.arange(X)) * Y + inst.label_matrix[hyp]  # (E, X), by entry
+    few = np.bincount(key[val > 0.0].ravel(), minlength=n * X * Y) <= 2
+    sums = [np.bincount(key.ravel(), v.repeat(X), n * X * Y) for v in [val, val * val][: 1 + squares]]
+    return [s.reshape(n, X, Y) for s in (sums[0], few, *sums[1:])]
+
+
+def _marginal_bounds(S: np.ndarray, few: np.ndarray, H: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) on each entry of ``label_onehot @ row`` on any BLAS kernel, from its
+    ``_level_sums`` S and ``few``: exact where ``few`` holds.  Any other S and the entry are
+    within γ_H·T of the exact sum T, so the entry lies in [S(1 − δ), S(1 + δ)], δ = 4γ_{H+2}
+    (the slack covers the rounding of S·δ, 2⁻¹⁰⁷⁰ its underflow); lo is clipped at 0."""
+    err = S * (4 * _gamma(H + 2)) + 2.0**-1070
+    err[few] = 0.0
+    hi = S + err
+    return np.maximum(np.subtract(S, err, out=err), 0.0, out=err), hi
+
+
+def _compact_picks(criterion: str, inst: Instance, node, hyp, val, avail: np.ndarray, loss):
+    """A wide level's picks from ``_level_sums``, -1 where they cannot decide.  Rows whose
+    needed sums have at most two positive terms each are scored exactly, the others certified
+    from ``_marginal_bounds``: scores fall as a marginal rises, so by monotone rounding the
+    ends' scores bracket the score (``gbs``' |m1 − m0| from the difference's ends).
+    ``max_entropy`` and losses other than 0-1 decide nothing."""
+    n, H = len(avail), inst.n_hypotheses
+    if criterion == "max_entropy" or (criterion == "worst_gen_gibbs" and not loss._zero_one):
+        return np.full(n, -1)
+    S, few, *SS = _level_sums(inst, node, hyp, val, n, criterion == "worst_gen_gibbs")
+    if SS:
+        return _worst_gen_gibbs_certified(S, *SS, avail, H)
+    lo, hi = _marginal_bounds(S, few, H)
+    del S  # a wide level's arrays are the largest the grower holds
+    if criterion == "gbs" and inst.n_labels == 2:
+        d_lo, d_hi = lo[..., 1] - hi[..., 0], hi[..., 1] - lo[..., 0]
+        lo, hi = -np.maximum(-d_lo, d_hi), -np.maximum(np.maximum(d_lo, -d_hi), 0.0)
+    else:
+        lo, hi = _row_scores(criterion, hi), _row_scores(criterion, lo)
+    lo[~avail], hi[~avail] = -math.inf, -math.inf
+    exact = (few | ~avail[..., None]).all(axis=(1, 2))
+    return np.where(exact, lo.argmax(axis=1), _certified_argmax(lo, hi))
 
 
 def _candidates(inst: Instance, available: Iterable[str]) -> list[int]:
@@ -210,24 +264,6 @@ def select(
     return inst.examples[int(_picks(criterion, inst, p.probs[None], avail, loss)[0])]
 
 
-def _joint_gibbs_error(p: Prior, inst: Instance, batch_idx: Sequence[int]) -> float:
-    """Gibbs error of the joint label sequence of a batch: 1 - sum_y p[y;B]^2.
-
-    Each hypothesis's labels on the batch become one integer code, first
-    batch member most significant, re-ranked densely after every member
-    so codes stay below n_hypotheses * n_labels.  Code order is the
-    lexicographic order of the label rows, and ``np.bincount`` sums each
-    joint label's mass in hypothesis order.
-    """
-    codes = np.zeros(inst.n_hypotheses, dtype=np.intp)
-    for xi in batch_idx:
-        codes = codes * inst.n_labels + inst.label_columns[xi]
-        ranks = np.cumsum(np.bincount(codes) > 0) - 1
-        codes = ranks[codes]
-    masses = np.bincount(codes, weights=p.probs)
-    return 1.0 - float((masses**2).sum())
-
-
 def select_batch_max_gibbs(
     p: Prior, inst: Instance, available: Iterable[str], batch_size: int
 ) -> tuple[str, ...]:
@@ -246,20 +282,35 @@ def select_batch_max_gibbs(
     return tuple(inst.examples[i] for i in _select_batch_index(p, inst, remaining, batch_size))
 
 
+def _joint_gibbs_scores(q: np.ndarray, inst: Instance, codes: np.ndarray, n_codes: int, remaining):
+    """Each candidate's joint Gibbs error 1 - sum_y p[y;B]^2 with the batch B whose label rows
+    ``codes`` ranks densely (lexicographically, below ``n_codes``), its joint codes and the codes
+    used: one ``bincount`` over (candidate, code * Y + label) sums each joint label's mass in
+    hypothesis order; each candidate squares and sums its used codes only, in code order."""
+    c, width = len(remaining), n_codes * inst.n_labels
+    joint = codes * inst.n_labels + inst.label_columns[remaining]  # (c, H)
+    bins = (joint + (np.arange(c) * width)[:, None]).ravel()
+    masses = np.bincount(bins, np.tile(q, c), c * width).reshape(c, width)
+    used = np.bincount(bins, minlength=c * width).reshape(c, width) > 0
+    scores, n_used = np.empty(c), used.sum(axis=1)
+    for k in np.unique(n_used).tolist():  # equal-length rows sum with the 1-D sum's bits
+        rows = np.flatnonzero(n_used == k)
+        scores[rows] = 1.0 - (masses[rows][used[rows]].reshape(-1, k) ** 2).sum(axis=1)
+    return scores, joint, used
+
+
 def _select_batch_index(
     p: Prior, inst: Instance, candidates: Sequence[int], batch_size: int
 ) -> tuple[int, ...]:
     """``select_batch_max_gibbs`` on ascending pool indices, for a batch size that fits."""
-    remaining = list(candidates)
-    batch: list[int] = []
+    remaining, batch = np.array(candidates, dtype=np.intp), []
+    codes, n_codes = np.zeros(inst.n_hypotheses, dtype=np.intp), 1
     for _ in range(batch_size):
-        best_xi, best = None, -math.inf
-        for xi in remaining:
-            s = _joint_gibbs_error(p, inst, batch + [xi])
-            if s > best:
-                best, best_xi = s, xi
-        batch.append(best_xi)
-        remaining.remove(best_xi)
+        scores, joint, used = _joint_gibbs_scores(p.probs, inst, codes, n_codes, remaining)
+        best = int(np.argmax(scores))  # the lowest pool index among ties
+        batch.append(int(remaining[best]))
+        remaining = np.delete(remaining, best)
+        codes, n_codes = (np.cumsum(used[best]) - 1)[joint[best]], int(used[best].sum())
     return tuple(batch)
 
 
@@ -272,93 +323,122 @@ def _densify(node: np.ndarray, hyp: np.ndarray, val: np.ndarray, n: int, H: int)
     return P
 
 
+def _by_row(rows: np.ndarray, key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, e): the entries e whose ``key`` (below ``size``) is one of ``rows``, stably sorted
+    by r, their key's position in ``rows``."""
+    rank = np.full(size, -1)
+    rank[rows] = np.arange(rows.size)
+    r = rank[key]
+    e = np.argsort(r, kind="stable")[np.count_nonzero(r < 0) :]
+    return r[e], e
+
+
+def _dense_chunks(inst: Instance, frontier: tuple, rows: np.ndarray):
+    """(part, ``_densify`` rows) for the ascending frontier nodes ``rows``, X * Y at a time."""
+    node, hyp, val, step = *frontier, inst.n_examples * inst.n_labels
+    if not rows.size:
+        return
+    r, e = _by_row(rows, node, int(node.max()) + 1)
+    for a in range(0, rows.size, step):
+        part, sl = rows[a : a + step], slice(*r.searchsorted([a, a + step]).tolist())
+        yield part, _densify(r[sl] - a, hyp[e[sl]], val[e[sl]], part.size, inst.n_hypotheses)
+
+
+def _child_masses(kids, key, hyp, val, nonzero, xi, column: Callable, step: int) -> np.ndarray:
+    """Each child's mass on a wide level, the bits of its parent's dense row summed over the
+    child's label column ``column(x, y)`` (``take().sum()``): ``bincount``'s where at most two
+    terms are positive (exact in any order), else the row sum of the child's entries scattered
+    into its column, zeros elsewhere, in a C-contiguous block of at most ``step`` rows of one
+    (example, label); numpy gives such row sums the 1-D sums' bits."""
+    Y = nonzero.size // len(xi)
+    mass = np.bincount(key, val, nonzero.size)
+    big = kids[nonzero[kids] > 2]
+    if big.size:
+        big = big[np.argsort(xi[big // Y] * Y + big % Y, kind="stable")]
+        group = xi[big // Y] * Y + big % Y  # each big child's (example, label): its column
+        r, e = _by_row(big, key, nonzero.size)
+        h, v = hyp[e], val[e]
+        starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist() + [big.size]
+        cuts = [c for a, b in pairwise(starts) for c in range(a, b, step)] + [big.size]
+        for (r0, r1), (e0, e1) in zip(pairwise(cuts), pairwise(r.searchsorted(cuts).tolist())):
+            col = column(*divmod(int(group[r0]), Y))
+            block = np.zeros((r1 - r0, col.size))
+            block[r[e0:e1] - r0, col.searchsorted(h[e0:e1])] = v[e0:e1]
+            mass[big[r0:r1]] = block.sum(axis=1)
+    return mass[kids]
+
+
+def _frontier(kids, masses, key, hyp, val, size, avail, batch, pos: int, Y: int):
+    """The next level's frontier (node, hyp, val, avail, batch) below picks ``batch[:, pos]``,
+    its nodes the expanded children ``kids``: each entry over its child's mass, a massless child
+    uniform over its V; the batch carries on to the children unless ``pos`` was its last."""
+    rank = np.full(size.size, -1)
+    rank[kids] = np.arange(kids.size)
+    child = rank[key]
+    if kids.size < np.count_nonzero(size):  # the leaves' entries leave the frontier
+        kept = child >= 0
+        child, hyp, val = child[kept], hyp[kept], val[kept]
+    den = masses[child]
+    if (masses == 0.0).any():
+        val, den = np.where(den == 0.0, 1.0, val), np.where(den == 0.0, size[kids][child], den)
+    parent = kids // Y
+    sub = avail[parent]
+    sub[np.arange(parent.size), batch[parent, pos]] = False
+    return child, hyp, val / den, sub, None if pos + 1 == batch.shape[1] else batch[parent]
+
+
 def _grow_rounds(
     stack: np.ndarray, inst: Instance, n_rounds: int, choose: Callable, stop_when_identified: bool = False
 ) -> list[PolicyTree]:
     """The one tree grower behind both greedy builders: a forest, one tree per row of the (k, H)
-    ``stack`` of priors, grown a level at a time.
-
-    Per round ``choose(P, avail)`` gives a batch of pool indices for each row
-    of ``P``, a node's dense posterior, from the examples its ``avail`` row
-    flags; a batch, which callers check fits, is queried blind.  Between
-    levels the frontier is compact, one (node, hypothesis, value) entry per
-    branch-consistent hypothesis; level 0 holds the roots, whose rows are the
-    priors themselves, and each node below is densified once, at most X * Y
-    rows at a time.  A child's mass is the 1-D sum of its parent's row over
-    the whole label column; a massless child is uniform over its consistent set.
-    """
+    ``stack`` of priors, grown a level at a time from a compact frontier, one (node, hypothesis,
+    value) entry per branch-consistent hypothesis; level 0 holds the roots.  Per round
+    ``choose(P, frontier, avail)`` gives each node a batch of pool indices among the examples
+    its ``avail`` row flags, queried blind; ``P`` holds a level's dense rows if it has at most
+    X * Y nodes, else is None.  A child's mass has the bits of its parent's dense row summed over
+    the whole label column; a massless child is uniform over its consistent set."""
     X, Y, H = inst.n_examples, inst.n_labels, inst.n_hypotheses
     n_trees = len(stack)  # under stop_when_identified, a root with one entry of mass stays empty
     roots = np.flatnonzero(np.count_nonzero(stack, axis=1) > stop_when_identified)
-    stack = stack[roots]
-    columns: dict = {}  # (xi, yi): the ascending indices of the hypotheses labeling xi with yi
-    node, hyp, val = np.repeat(np.arange(roots.size), H), np.tile(np.arange(H), roots.size), stack.ravel()
+    column = functools.cache(lambda x, y: (inst.label_columns[x] == y).nonzero()[0])  # ascending
+    node, hyp, val = np.arange(roots.size).repeat(H), np.tile(np.arange(H), roots.size), stack[roots].ravel()
     avail = np.ones((roots.size, X), dtype=bool)  # per node: the examples its path has not queried
-    batch, pos, rounds_left, step, levels = None, 0, n_rounds, X * Y, []
+    batch, pos, rounds_left, levels = None, 0, n_rounds, []
     while len(avail):
-        n, cuts, chunks, grown = len(avail), [0, node.size], [], []
-        if n > step:  # a chunk is a run of nodes, so order the entries by node
-            order = np.argsort(node, kind="stable")
-            node, hyp, val = node[order], hyp[order], val[order]
-            cuts[1:1] = node.searchsorted(range(step, n, step)).tolist()
-        for c, c0 in enumerate(range(0, n, step)):
-            m, e = min(step, n - c0), slice(cuts[c], cuts[c + 1])
-            loc, h, v = (node[e] - c0, hyp[e], val[e]) if n > step else (node, hyp, val)
-            P = _densify(loc, h, v, m, H) if levels else stack[c0 : c0 + m]
-            bt = batch[c0 : c0 + m] if pos else np.asarray(choose(P, avail[c0 : c0 + m]), np.intp)
-            xi, last, kids = bt[:, pos], pos + 1 == bt.shape[1], []
-            grown.append((xi, kids))  # per chunk: each node's example, its slots holding a child
-            if last and rounds_left == 1:  # every child is a leaf
-                continue
-            key = loc * Y + inst.label_columns[xi[loc], h]
-            size = np.bincount(key, minlength=m * Y)
+        n = len(avail)
+        P = _densify(node, hyp, val, n, H) if n <= X * Y else None
+        bt = batch if pos else np.asarray(choose(P, (node, hyp, val), avail), np.intp)
+        xi, last, kids = bt[:, pos], pos + 1 == bt.shape[1], np.arange(0)
+        if not (last and rounds_left == 1):  # else every child is a leaf
+            key = node * Y + inst.label_columns[xi[node], hyp]
+            size = np.bincount(key, minlength=n * Y)
             identify = last and stop_when_identified  # leaf: one hypothesis with mass, or V of one
-            nonzero = np.bincount(key[v != 0.0], minlength=m * Y).tolist() if identify else ()
-            masses, rank, xs = [], [-1] * (m * Y), xi.tolist()
-            for k, count in enumerate(sizes := size.tolist()):
-                i, y = divmod(k, Y)
-                if count and not (identify and (nonzero[k] or count) <= 1):
-                    rank[k] = len(kids)
-                    kids.append(k)
-                    if (xs[i], y) not in columns:
-                        columns[xs[i], y] = (inst.label_columns[xs[i]] == y).nonzero()[0]
-                    masses.append(P[i].take(columns[xs[i], y]).sum())
-            child = np.array(rank)[key]
-            if len(kids) < len(sizes) - sizes.count(0):  # the leaves' entries leave the frontier
-                kept = child >= 0
-                child, h, v = child[kept], h[kept], v[kept]
-            den = np.array(masses)[child]
-            if 0.0 in masses:  # a massless child is uniform over its V
-                v, den = np.where(den == 0.0, 1.0, v), np.where(den == 0.0, size[kids][child], den)
-            parent = np.array(kids, dtype=np.intp) // Y
-            sub = avail[c0 : c0 + m][parent]
-            sub[np.arange(parent.size), xi[parent]] = False
-            if chunks:
-                child += sum(len(a) for _, _, _, a, _ in chunks)
-            chunks.append((child, h, v / den, sub, None if last else bt[parent]))
-        levels.append(grown)
+            nonzero = np.bincount(key[val > 0.0], minlength=n * Y) if identify or P is None else None
+            kids = np.flatnonzero(np.where(nonzero > 0, nonzero, size) > 1 if identify else size)
+            if P is None:  # on a narrow level one take().sum() per child costs fewer numpy calls
+                masses = _child_masses(kids, key, hyp, val, nonzero, xi, column, X * Y)
+            else:
+                masses = np.array([P[k // Y].take(column(xi[k // Y], k % Y)).sum() for k in kids.tolist()])
+        levels.append((xi, kids))
+        if not kids.size:
+            break
+        node, hyp, val, avail, batch = _frontier(kids, masses, key, hyp, val, size, avail, bt, pos, Y)
         pos = (pos + 1) % bt.shape[1]
         rounds_left -= pos == 0
-        if not chunks:
-            break
-        node, hyp, val, avail, batch = chunks[0] if len(chunks) == 1 else (
-            None if a[0] is None else np.concatenate(a) for a in zip(*chunks)
-        )
     below: list = []  # the next level's nodes, in order
-    for grown in reversed(levels):
-        slots, below = iter(below), []
-        for xi, kids in grown:
-            flat = [None] * (Y * len(xi))
-            for k, child in zip(kids, slots):
-                flat[k] = child
-            names = [inst.examples[x] for x in xi.tolist()]
-            below += map(PolicyNode, names, zip(*[iter(flat)] * Y))  # Y slots to a node
+    for xi, kids in reversed(levels):
+        flat = [None] * (Y * len(xi))
+        for k, child in zip(kids.tolist(), below):
+            flat[k] = child
+        names = [inst.examples[x] for x in xi.tolist()]
+        below = list(map(PolicyNode, names, zip(*[iter(flat)] * Y)))  # Y slots to a node
     tree_of = dict(zip(roots.tolist(), below))  # the first level's nodes are the roots, in order
     return [PolicyTree(inst, tree_of.get(i)) for i in range(n_trees)]
 
 
 def _build_forest(criterion: str, priors: Sequence[Prior], inst: Instance, budget: int, loss, stop):
-    """``build_policy`` on each of ``priors``, the trees grown together as one forest."""
+    """``build_policy`` on each of ``priors``, the trees grown together as one forest: a wide
+    level picks from ``_compact_picks`` and densifies only the rows it leaves open."""
     if not priors:
         raise ValueError("a forest needs at least one prior")
     for p in priors:
@@ -367,8 +447,13 @@ def _build_forest(criterion: str, priors: Sequence[Prior], inst: Instance, budge
         raise ValueError(f"budget must lie in [1, {inst.n_examples}], got {budget}")
     loss = _checked_loss(criterion, inst, loss)  # once per forest, not once per node
 
-    def choose(P: np.ndarray, avail: np.ndarray):
-        return _picks(criterion, inst, P, avail, loss)[:, None]
+    def choose(P, frontier: tuple, avail: np.ndarray):
+        if P is not None:
+            return _picks(criterion, inst, P, avail, loss)[:, None]
+        picks = _compact_picks(criterion, inst, *frontier, avail, loss)
+        for rows, Q in _dense_chunks(inst, frontier, np.flatnonzero(picks < 0)):
+            picks[rows] = _picks(criterion, inst, Q, avail[rows], loss)
+        return picks[:, None]
 
     return _grow_rounds(np.array([p.probs for p in priors]), inst, budget, choose, stop)
 
@@ -406,9 +491,10 @@ def build_batch_policy(
     if n_rounds * batch_size > inst.n_examples:
         raise ValueError("batch rounds exceed the pool size")
 
-    def choose(P: np.ndarray, avail: np.ndarray):
-        rows = zip(map(Prior._trusted, P), avail)
-        return [_select_batch_index(q, inst, a.nonzero()[0].tolist(), batch_size) for q, a in rows]
+    def choose(P, frontier: tuple, avail: np.ndarray):  # a wide level's rows X * Y at a time
+        chunks = [(None, P)] if P is not None else _dense_chunks(inst, frontier, np.arange(len(avail)))
+        rows = zip((Prior._trusted(q) for _, Q in chunks for q in Q), avail)
+        return [_select_batch_index(q, inst, a.nonzero()[0], batch_size) for q, a in rows]
 
     return _grow_rounds(p.probs[None], inst, n_rounds, choose)[0]
 

@@ -406,14 +406,24 @@ class TestCertificationRule:
 class TestFallbackShare:
     def test_verify_sized_share(self):
         """``poolal verify``'s worst-case trees leave a pinned share of their picks to the dense
-        product: a loosened bound, or moved inputs, raises it and fails here."""
+        product: a loosened bound, or moved inputs, raises it and fails here.  A pick is made
+        either from dense rows or, on a forest level wider than X * Y nodes, from that level's
+        compact sums; the rows those leave open are dense rows too."""
         rows, dense = [], mock.Mock(wraps=_worst_gen_gibbs_gains)
+        compact = policies._compact_picks
 
         def picks(inst, P, avail, loss):
             rows.append(len(P))
             return _worst_gen_gibbs_picks(inst, P, avail, loss)
 
+        def compact_picks(criterion, *args):
+            made = compact(criterion, *args)
+            if criterion == "worst_gen_gibbs":
+                rows.append(int(np.count_nonzero(made >= 0)))
+            return made
+
         with mock.patch.object(policies, "_worst_gen_gibbs_picks", picks), \
+                mock.patch.object(policies, "_compact_picks", compact_picks), \
                 mock.patch.object(policies, "_worst_gen_gibbs_gains", dense):
             sweep_reports(n_instances=100, seed=0)
         assert (dense.call_count, sum(rows)) == (225, 1200)

@@ -401,6 +401,18 @@ class TestGenInstance:
         assert out == ""
         assert err == "error: the labeling space 2**63 must be smaller than 2**63\n"
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("0,6,2", "an instance needs at least one example"),
+            ("3,6,1", "an instance needs at least two labels"),
+            ("2,3,0", "an instance needs at least two labels"),
+        ],
+    )
+    def test_synthetic_spec_blames_the_right_argument(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "run", "--synthetic", spec, "--budget", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestConfigAndEnv:
     def test_config_file_supplies_defaults_flags_win(self, capsys, tmp_path, square_file):

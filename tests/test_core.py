@@ -494,6 +494,15 @@ class TestMatrixInstance:
         with pytest.raises(ValueError, match=r"must be smaller than 2\*\*63"):
             pl.random_instance(n_x, 5, n_y, rng=0)
 
+    @pytest.mark.parametrize(
+        "n_x, n_y, message",
+        [(0, 2, "at least one example"), (-1, 2, "at least one example"),
+         (3, 1, "at least two labels"), (2, 0, "at least two labels"), (0, 1, "at least one example")],
+    )
+    def test_random_instance_checks_the_pool_before_the_space(self, n_x, n_y, message):
+        with pytest.raises(ValueError, match=f"^an instance needs {message}$"):
+            pl.random_instance(n_x, 6, n_y, rng=0)
+
     def test_random_instance_at_the_largest_drawable_space(self):
         inst = pl.random_instance(62, 5, rng=0)
         assert_matches_reference(inst, reference_random(62, 5, 2, 0))

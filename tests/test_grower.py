@@ -3,12 +3,13 @@
 ``reference_tree`` is the dense-mask grower: a depth-first recursion
 with a boolean consistent set per node and a boolean label mask per
 branch.  The package's level-at-a-time grower must build the same tree
-and densify for every node it expands below the root exactly the same
-posterior, bit for bit and in breadth-first order, which pins both the
-mass summed over the whole label column (numpy's pairwise sum groups
-elements by position, so a sum over the consistent set alone can move
-the last bit from eight elements on) and the uniform fallback over the
-branch-consistent set.
+and hold in its compact frontier, for every node it expands below the
+root, exactly the same posterior, bit for bit and in breadth-first order
+(each node densified here, the entries it holds plus +0.0 elsewhere),
+which pins both the mass summed over the whole label column (numpy's
+pairwise sum groups elements by position, so a sum over the consistent
+set alone can move the last bit from eight elements on) and the uniform
+fallback over the branch-consistent set.
 """
 
 import hashlib
@@ -111,30 +112,42 @@ def make_prior(inst, kind, rng):
     return pl.Prior(mass / mass.sum())
 
 
-def record_densified(monkeypatch):
-    """Every posterior row the grower densifies from now on, in order."""
+def record_frontiers(monkeypatch):
+    """Every compact frontier the grower builds from now on, in order: one per level below the
+    roots, whose nodes are that level's expanded nodes."""
+    levels = []
+    real = policies._frontier
+
+    def frontier(*args):
+        level = real(*args)
+        levels.append(level)
+        return level
+
+    monkeypatch.setattr(policies, "_frontier", frontier)
+    return levels
+
+
+def densified(levels, n_hypotheses):
+    """Each recorded frontier node's dense posterior, breadth first: the node's entries, +0.0
+    elsewhere."""
     rows = []
-    real = policies._densify
-
-    def densify(*args):
-        P = real(*args)
+    for node, hyp, val, avail, _ in levels:
+        P = np.zeros((len(avail), n_hypotheses))
+        P[node, hyp] = val
         rows.extend(P)
-        return P
-
-    monkeypatch.setattr(policies, "_densify", densify)
     return rows
 
 
 def assert_same_growth(monkeypatch, build, reference):
     """``build()`` and ``reference()`` give one tree and bitwise-equal branch posteriors."""
     with monkeypatch.context() as patch:
-        made = record_densified(patch)
+        levels = record_frontiers(patch)
         tree = build()
     ref_tree, ref_made = reference()
     assert policy_to_text(tree) == policy_to_text(ref_tree)
+    made = densified(levels, tree.instance.n_hypotheses)
     assert len(made) == len(ref_made)
     for q, ref in zip(made, ref_made):
-        assert not q.flags.writeable
         assert q.tobytes() == ref.probs.tobytes()  # -0.0 and +0.0 differ here
 
 
@@ -245,7 +258,7 @@ class TestForests:
     def test_seeded(self, seed, n_labels):
         rng = np.random.default_rng([seed, n_labels, 13])
         inst = small_case(seed, n_labels, "dirichlet")[0]
-        for n_trees in (1, 2, 5, inst.n_examples * n_labels + 3):  # the last chunks level 0
+        for n_trees in (1, 2, 5, inst.n_examples * n_labels + 3):  # the last makes level 0 wide
             check_forest(inst, forest_stack(inst, rng, n_trees))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 20))
@@ -287,7 +300,8 @@ def widest_level(tree):
 
 
 class TestWideLevels:
-    """Levels wider than the X * Y rows the grower densifies at a time."""
+    """Levels of more than X * Y nodes, which grow from their compact frontier: picks from
+    per-level sums, child masses from column rows."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_x, n_h, n_labels", [(6, 64, 2), (8, 256, 2), (5, 120, 3)])
@@ -296,7 +310,7 @@ class TestWideLevels:
         inst = pl.random_instance(n_x, n_h, n_labels, rng=rng)
         p = make_prior(inst, kind, rng)
         gbs = build_policy("gbs", p, inst, n_x, stop_when_identified=True)
-        assert widest_level(gbs) > n_x * n_labels  # the chunk boundaries are exercised
+        assert widest_level(gbs) > n_x * n_labels  # the compact path is exercised
         for criterion in policies.CRITERIA:
             loss = zero_one_loss(inst) if criterion == "worst_gen_gibbs" else None
             for stop in (False, True):
@@ -310,6 +324,22 @@ class TestWideLevels:
             lambda: build_batch_policy(p, inst, 2, 2),
             lambda: reference_batch_policy(p, inst, 2, 2),
         )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wide_batch_level(self, monkeypatch, kind):
+        # 27 joint labels of a 3-member ternary batch outnumber the 18 (example, label) rows
+        rng = np.random.default_rng(6)
+        inst = pl.random_instance(6, 300, 3, rng=rng)
+        p = make_prior(inst, kind, rng)
+        seen, real = [], policies._dense_chunks
+        with monkeypatch.context() as patch:
+            patch.setattr(policies, "_dense_chunks", lambda *a: seen.append(a) or real(*a))
+            assert_same_growth(
+                monkeypatch,
+                lambda: build_batch_policy(p, inst, 2, 3),
+                lambda: reference_batch_policy(p, inst, 2, 3),
+            )
+        assert any(len(rows) > inst.n_examples * inst.n_labels for _, _, rows in seen)
 
 
 def test_identification_tree_memory():
@@ -346,9 +376,9 @@ class TestPosteriorCount:
 
     def assert_once_per_expanded_node(self, monkeypatch, build):
         with monkeypatch.context() as patch:
-            rows = record_densified(patch)
+            levels = record_frontiers(patch)
             tree = build()
-        assert len(rows) == max(count_nodes(tree) - 1, 0)
+        assert sum(len(level[3]) for level in levels) == max(count_nodes(tree) - 1, 0)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(6))

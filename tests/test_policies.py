@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poolal as pl
+from poolal import policies
 from poolal.policies import (
     PolicyNode,
     PolicyTree,
-    _joint_gibbs_error,
+    _select_batch_index,
     _worst_gen_gibbs_gains,
     build_policy,
     greedy_transcript,
@@ -381,10 +383,31 @@ def kernel_case(rng, max_examples=6, max_hypotheses=40):
     return inst, pl.Prior(probs)
 
 
+def assert_batch_scores_match(p, inst, candidates, batch_size):
+    """Every candidate's score at every step of ``_select_batch_index`` is bitwise the joint
+    Gibbs error of the batch so far plus that candidate, its members in selection order."""
+    steps = []
+    real = policies._joint_gibbs_scores
+
+    def spy(q, inst_, codes, n_codes, remaining):
+        out = real(q, inst_, codes, n_codes, remaining)
+        steps.append(list(zip(remaining.tolist(), out[0].tolist())))
+        return out
+
+    with mock.patch.object(policies, "_joint_gibbs_scores", spy):
+        batch = _select_batch_index(p, inst, candidates, batch_size)
+    assert len(steps) == batch_size
+    for k, step in enumerate(steps):
+        assert [c for c, _ in step] == [c for c in candidates if c not in batch[:k]]
+        for c, score in step:
+            assert score == ref_joint_gibbs_error(p, inst, list(batch[:k]) + [c])
+        assert batch[k] == max(step, key=lambda cs: cs[1])[0]  # the first of the best
+
+
 def assert_kernels_match(inst, p, rng):
     for k in range(1, min(3, inst.n_examples) + 1):
-        batch = [int(i) for i in rng.permutation(inst.n_examples)[:k]]
-        assert _joint_gibbs_error(p, inst, batch) == ref_joint_gibbs_error(p, inst, batch)
+        rng.permutation(inst.n_examples)  # the draw the batch used to take keeps the cases below
+        assert_batch_scores_match(p, inst, list(range(inst.n_examples)), k)
     n_cand = int(rng.integers(1, inst.n_examples + 1))
     candidates = sorted(int(i) for i in rng.permutation(inst.n_examples)[:n_cand])
     for loss in (pl.zero_one_loss(inst), pl.hamming_loss(inst)):
@@ -425,8 +448,7 @@ class TestSelectionKernelsMatchReference:
         hyps = [pl.Hypothesis(f"h{k}", examples, tuple(map(str, row))) for k, row in enumerate(rows)]
         inst = pl.Instance(examples, ("0", "1", "2"), hyps)
         p = pl.random_prior(inst, rng)
-        batch = list(range(40))
-        assert _joint_gibbs_error(p, inst, batch) == ref_joint_gibbs_error(p, inst, batch)
+        assert_batch_scores_match(p, inst, list(range(40)), 40)
 
     @pytest.mark.parametrize("loss_fn", [pl.zero_one_loss, pl.hamming_loss])
     def test_split_that_separates_nothing_scores_zero(self, loss_fn):

@@ -19,13 +19,18 @@ from poolal.policies import _grow_rounds, build_batch_policy, build_policy
 from poolal.utilities import hamming_loss, zero_one_loss
 
 
-def assert_trusted(probs):
+def assert_prior_bits(probs):
     """``probs`` is what public ``Prior`` makes of the same array, bit for bit."""
     checked = pl.Prior(probs)
     assert np.array_equal(probs, checked.probs)
     assert probs.dtype == np.float64
     assert np.all(probs >= 0.0)
     assert abs(float(probs.sum()) - 1.0) <= NORM_TOL
+
+
+def assert_trusted(probs):
+    """``probs`` is a package-made vector with ``Prior``'s bits, read-only as a Prior's are."""
+    assert_prior_bits(probs)
     assert not probs.flags.writeable
 
 
@@ -36,6 +41,7 @@ def record_densified(monkeypatch):
 
     def densify(*args):
         P = real(*args)
+        assert not P.flags.writeable  # so every row of it is read-only
         rows.extend(P)
         return P
 
@@ -47,12 +53,23 @@ def grower_branches(p, inst, xi):
     """The grower's posterior on each label branch of example ``xi``, in label order.
 
     One blind round queries ``xi`` twice, so every branch of the first
-    query is expanded, and densified, exactly once.
+    query is expanded, and enters the next level's compact frontier,
+    exactly once; each is densified here, +0.0 off its entries.
     """
+    levels = []
+    real = policies._frontier
+
+    def frontier(*args):
+        levels.append(real(*args))
+        return levels[-1]
+
     with pytest.MonkeyPatch.context() as patch:
-        rows = record_densified(patch)
-        _grow_rounds(p.probs[None], inst, 1, lambda P, avail: [(xi, xi)] * len(P))
-    return rows
+        patch.setattr(policies, "_frontier", frontier)
+        _grow_rounds(p.probs[None], inst, 1, lambda P, level, avail: [(xi, xi)] * len(avail))
+    (node, hyp, val, avail, _), = levels
+    rows = np.zeros((len(avail), inst.n_hypotheses))
+    rows[node, hyp] = val
+    return list(rows)
 
 
 def case_with_zero_mass(seed, n_labels):
@@ -79,13 +96,13 @@ def check_every_branch(inst, p):
                 continue
             mass = float(p.probs[mask].sum())
             branch = next(branches)
-            assert_trusted(branch)
+            assert_prior_bits(branch)
             if mass == 0.0:  # the uniform fallback over the branch
                 np.testing.assert_array_equal(branch, np.where(mask, 1.0, 0.0) / mask.sum())
                 continue
             expected = pl.Prior(np.where(mask, p.probs, 0.0) / mass)
+            assert np.array_equal(branch, expected.probs)
             for derived in (
-                branch,
                 pl.posterior(p, inst, [(x, y)]).probs,
                 _component_update(p, mass, mask, xi, yi).probs,
                 mixture_observe(comp_state, x, y).posteriors[0].probs,
@@ -109,7 +126,7 @@ class TestTrustedPriors:
     def test_zero_mass_branch_falls_back_to_uniform(self, square):
         p = pl.Prior([0.5, 0.5, 0.0, 0.0])  # x1 = 1 has no mass
         _, branch = grower_branches(p, square, 1)
-        assert_trusted(branch)
+        assert_prior_bits(branch)
         np.testing.assert_array_equal(branch, [0.0, 0.0, 0.5, 0.5])
 
     @pytest.mark.parametrize("seed", range(6))
