@@ -9,7 +9,8 @@ explicit ones, which win.  Its values get the flags' checks, switches
 take true/false/1/0/yes/no/on/off, and a bad value or a key that is not
 an option of the command is an error naming ``file:line``.  Relative
 output paths resolve against ``POOLAL_OUTPUT_DIR`` when that variable is
-set.
+set.  Exit status: 0 on success, 1 only when a ``verify`` bound fails, and
+2 for bad input, an unreadable input file or an unwritable output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    InstanceFormatError,
     instance_text,
     load_instance,
     random_instance,
@@ -62,11 +62,6 @@ VERIFY_COLUMNS = (
     "slack",
     "holds",
 )
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _load_config(path: str) -> list[tuple[str, str, str]]:
@@ -140,14 +135,11 @@ def _fmt(value) -> str:
 
 def cmd_run(opts) -> int:
     if opts.budget is None or opts.budget < 1:
-        return _fail(f"budget must be a positive integer, got {opts.budget}")
-    try:
-        inst, prior = _instance_from_opts(opts)
-        u = _utility_from_opts(opts, inst)
-        loss = u.loss if isinstance(u, GeneralizedReduction) else None
-        tree = build_policy(opts.criterion, prior, inst, opts.budget, loss=loss)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        raise ValueError(f"budget must be a positive integer, got {opts.budget}")
+    inst, prior = _instance_from_opts(opts)
+    u = _utility_from_opts(opts, inst)
+    loss = u.loss if isinstance(u, GeneralizedReduction) else None
+    tree = build_policy(opts.criterion, prior, inst, opts.budget, loss=loss)
 
     # hypotheses sharing a leaf share its path and its agreement set V
     rows = [""] * inst.n_hypotheses
@@ -165,22 +157,19 @@ def cmd_run(opts) -> int:
 
 def cmd_optimal(opts) -> int:
     if opts.objective != "min-cost" and (opts.budget is None or opts.budget < 1):
-        return _fail(f"budget must be a positive integer, got {opts.budget}")
-    try:
-        inst, prior = _instance_from_opts(opts)
-        if opts.objective == "min-cost":
-            result = opt_min_cost(prior, inst)
-        else:
-            u = _utility_from_opts(opts, inst)
-            oracle = opt_avg if opts.objective == "avg" else opt_worst
-            result = oracle(prior, u, inst, opts.budget)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        raise ValueError(f"budget must be a positive integer, got {opts.budget}")
+    inst, prior = _instance_from_opts(opts)
+    if opts.objective == "min-cost":
+        result = opt_min_cost(prior, inst)
+    else:
+        u = _utility_from_opts(opts, inst)
+        oracle = opt_avg if opts.objective == "avg" else opt_worst
+        result = oracle(prior, u, inst, opts.budget)
     _write_output(opts.out, result.to_text())
     return 0
 
 
-def _counterexample_text(opts) -> str:
+def cmd_counterexample(opts) -> int:
     _, _, _, report = counterexample_instance(
         opts.delta, mu=opts.mu, mode=opts.mode, C=opts.C, alpha=opts.alpha
     )
@@ -192,15 +181,7 @@ def _counterexample_text(opts) -> str:
         lines.append(f"{prefix}_{k[2:]}={_fmt(p[k])}")
     lines.append(f"opt_p0={_fmt(p['opt_p0'])}")
     lines.append(f"violation={_fmt(not report.holds)}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_counterexample(opts) -> int:
-    try:
-        text = _counterexample_text(opts)
-    except ValueError as exc:
-        return _fail(str(exc))
-    _write_output(opts.out, text)
+    _write_output(opts.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -214,13 +195,8 @@ def _report_row(report) -> str:
 def cmd_verify(opts) -> int:
     if opts.counterexample:
         return cmd_counterexample(opts)
-    try:
-        radii = tuple(float(r) for r in opts.radii.split(","))
-        reports = sweep_reports(
-            n_instances=opts.trials, radii=radii, seed=opts.seed, budget=opts.budget
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    radii = tuple(float(r) for r in opts.radii.split(","))
+    reports = sweep_reports(n_instances=opts.trials, radii=radii, seed=opts.seed, budget=opts.budget)
     lines = [VERIFY_SCHEMA, ",".join(VERIFY_COLUMNS)]
     lines.extend(_report_row(r) for r in reports)
     _write_output(opts.out, "\n".join(lines) + "\n")
@@ -259,20 +235,16 @@ def cmd_mixture_demo(opts) -> int:
         libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         libc.mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD
         libc.mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
-    try:
-        inst, components = _mixture_components(opts)
-        rows, means = mixture_trajectories(
-            inst,
-            components,
-            budget=opts.budget,
-            n_seeds=opts.seeds,
-            criterion=opts.criterion,
-            with_passive=opts.with_passive,
-            seed=opts.seed,
-        )
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-
+    inst, components = _mixture_components(opts)
+    rows, means = mixture_trajectories(
+        inst,
+        components,
+        budget=opts.budget,
+        n_seeds=opts.seeds,
+        criterion=opts.criterion,
+        with_passive=opts.with_passive,
+        seed=opts.seed,
+    )
     lines = [MIXTURE_SCHEMA, "seed,method,step,example,label,weights,accuracy"]
     for s, method, step, x, y, weights, accuracy in rows:
         wtxt = "|".join(repr(float(w)) for w in weights)
@@ -284,12 +256,9 @@ def cmd_mixture_demo(opts) -> int:
 
 
 def cmd_gen_instance(opts) -> int:
-    try:
-        rng = np.random.default_rng(opts.seed)
-        inst = random_instance(opts.examples, opts.hypotheses, opts.labels, rng=rng)
-        prior = uniform_prior(inst) if opts.uniform else random_prior(inst, rng)
-    except ValueError as exc:
-        return _fail(str(exc))
+    rng = np.random.default_rng(opts.seed)
+    inst = random_instance(opts.examples, opts.hypotheses, opts.labels, rng=rng)
+    prior = uniform_prior(inst) if opts.uniform else random_prior(inst, rng)
     _write_output(opts.out, instance_text(inst, prior))
     return 0
 
@@ -405,18 +374,16 @@ def _config_flags(command: str, path: str) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _PARSER.parse_args(argv)
-    if args.config:
-        # config flags go right after the command, so the user's own flags come last and win
-        at = argv.index(args.command) + 1
-        try:
+    try:  # the one exit for bad input, unreadable files and unwritable output
+        if args.config:
+            # config flags go right after the command, so the user's own flags come last and win
+            at = argv.index(args.command) + 1
             argv[at:at] = _config_flags(args.command, args.config)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
-        args = _PARSER.parse_args(argv)
-    try:
+            args = _PARSER.parse_args(argv)
         return args.handler(args)
-    except InstanceFormatError as exc:
-        return _fail(str(exc))
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

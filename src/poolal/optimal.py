@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Instance, Prior, _check_prior
-from .policies import PolicyNode, PolicyTree, policy_to_text
+from .policies import PolicyNode, PolicyTree, _slots, policy_to_text
 from .utilities import GeneralizedReduction, Utility, _contenders, _pair_mass_bounds, _set_utility_fn
 
 EXAMPLE_CAP = 6
@@ -71,12 +71,10 @@ def _route(tree: PolicyTree) -> tuple[np.ndarray, np.ndarray]:
         return key, depth
     nodes, child = [tree.root], []  # child[k * Y + y]: the flat index of node k's y-child, or -1
     for node in nodes:  # grows while read: a breadth-first queue
-        for c in node.children:
+        for c in _slots(node, Y):
             child.append(-1 if c is None else len(nodes))
             if c is not None:
                 nodes.append(c)
-    if len(child) != len(nodes) * Y:
-        raise ValueError(f"every policy node needs one child slot per label ({Y})")
     examples = np.array([inst.example_index.get(n.example, -1) for n in nodes], dtype=np.intp)
     child, labels = np.array(child, dtype=np.intp), inst.label_matrix.ravel()
     hyp, at, level = np.arange(H), np.zeros(H, dtype=np.intp), 0

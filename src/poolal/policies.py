@@ -48,6 +48,13 @@ class PolicyNode:
     children: tuple["PolicyNode | None", ...]
 
 
+def _slots(node: PolicyNode, n_labels: int) -> tuple["PolicyNode | None", ...]:
+    """``node``'s children, after checking it has one slot per label."""
+    if len(node.children) != n_labels:
+        raise ValueError(f"every policy node needs one child slot per label ({n_labels})")
+    return node.children
+
+
 @dataclass(frozen=True, eq=False)
 class PolicyTree:
     """An adaptive querying strategy over a fixed instance.
@@ -514,9 +521,11 @@ def run_policy(
             y = labeling[x]
         except KeyError:
             raise ValueError(f"hypothesis {h.id!r} does not label example {x!r}") from None
+        if y not in inst.label_index:
+            raise ValueError(f"unknown label {y!r}")
         queried.append(x)
         labels.append(y)
-        node = node.children[inst.label_index[y]]
+        node = _slots(node, inst.n_labels)[inst.label_index[y]]
     return tuple(queried), tuple(labels), len(queried)
 
 
@@ -548,16 +557,15 @@ def greedy_transcript(
 
 
 def policy_to_text(tree: PolicyTree) -> str:
-    """Serialize a tree as one '<depth>,<example>,<edge-label>' line per node."""
-    inst = tree.instance
+    """Serialize a tree as one '<depth>,<example>,<edge-label>' line per node, in pre-order."""
+    labels, Y = tree.instance.labels, tree.instance.n_labels
     lines: list[str] = []
-
-    def walk(node: PolicyNode, depth: int, edge: str) -> None:
+    stack = [] if tree.root is None else [(tree.root, 0, "")]
+    while stack:  # children pushed in reverse label order, so they pop in label order
+        node, depth, edge = stack.pop()
         lines.append(f"{depth},{node.example},{edge}")
-        for yi, child in enumerate(node.children):
-            if child is not None:
-                walk(child, depth + 1, inst.labels[yi])
-
-    if tree.root is not None:
-        walk(tree.root, 0, "")
+        kids = _slots(node, Y)
+        for yi in range(Y - 1, -1, -1):
+            if kids[yi] is not None:
+                stack.append((kids[yi], depth + 1, labels[yi]))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     Instance,
     Prior,
+    _check_prior,
     full_hypothesis_space,
     l1_distance,
     perturb,
@@ -196,6 +197,11 @@ def check_batch_avg_bound(
     )
 
 
+def _uncovered(p0: Prior, p1: Prior) -> np.ndarray:
+    """Ascending indices in support(p0) outside support(p1): empty when p1's support covers p0's."""
+    return np.flatnonzero((p0.probs > 0) & ~(p1.probs > 0))
+
+
 def check_mincost_bound(
     inst: Instance,
     p0: Prior,
@@ -213,12 +219,12 @@ def check_mincost_bound(
     alpha(p1) * opt + (alpha(p1) + 1) * K * l1(p0, p1), with K the cost
     cap (defaults to the pool size).
     """
-    p0_support = set(int(i) for i in p0.support)
-    p1_support = set(int(i) for i in p1.support)
-    if not p0_support <= p1_support:
-        missing = inst.ids[sorted(p0_support - p1_support)[0]]
+    for p in (p0, p1):
+        _check_prior(p, inst)
+    uncovered = _uncovered(p0, p1)
+    if uncovered.size:
         raise ValueError(
-            f"perturbed prior gives zero mass to {missing!r}, which the true prior "
+            f"perturbed prior gives zero mass to {inst.ids[uncovered[0]]!r}, which the true prior "
             "can draw; identification on such truths never terminates, so the "
             "cost bound requires support(p0) within support(p1)"
         )
@@ -376,10 +382,9 @@ def _perturbed_with_support(
     p0: Prior, radius: float, seed_base: Sequence[int]
 ) -> Prior:
     """A perturbation whose support still covers the true prior's."""
-    p0_support = set(int(i) for i in p0.support)
     for attempt in range(50):
         p1 = perturb(p0, radius, seed=list(seed_base) + [attempt])
-        if p0_support <= set(int(i) for i in p1.support):
+        if not _uncovered(p0, p1).size:
             return p1
     raise RuntimeError("could not sample a support-covering perturbation")
 

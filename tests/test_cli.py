@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 from pathlib import Path
 
@@ -447,10 +448,65 @@ class TestConfigAndEnv:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            main(list(args))
+        assert run_cli(capsys, *args) == (2, "", "error: disk full\n")
         assert target.read_bytes() == b"old bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["result.csv", "square.csv"]
+
+
+# each command with small valid flags; verify's bounds hold on these trials
+SMALL_RUNS = {
+    "run": ("--synthetic", "3,6,2", "--budget", "1"),
+    "optimal": ("--synthetic", "3,6,2", "--budget", "1"),
+    "verify": ("--trials", "1"),
+    "counterexample": (),
+    "mixture-demo": ("--pool", "4", "--components", "2", "--seeds", "1", "--budget", "1"),
+    "gen-instance": (),
+}
+
+
+class TestOneExit:
+    """Every command leaves through main's one exit: one ``error:`` line, exit 2."""
+
+    def assert_clean_exit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_out_names_a_directory(self, capsys, tmp_path, command):
+        (tmp_path / "taken").mkdir()
+        argv = (command, *SMALL_RUNS[command], "--out", str(tmp_path / "taken"))
+        self.assert_clean_exit(capsys, argv)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
+    @pytest.mark.parametrize("command", SMALL_RUNS)
+    def test_output_dir_is_a_file(self, capsys, tmp_path, monkeypatch, command):
+        (tmp_path / "plain").write_text("keep\n")
+        monkeypatch.setenv("POOLAL_OUTPUT_DIR", str(tmp_path / "plain"))
+        self.assert_clean_exit(capsys, (command, *SMALL_RUNS[command], "--out", "x.csv"))
+        assert [p.name for p in tmp_path.iterdir()] == ["plain"]
+        assert (tmp_path / "plain").read_text() == "keep\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--budget", "1", "--instance"),
+        ("optimal", "--budget", "1", "--instance"),
+        ("mixture-demo", "--component-files"),
+        ("gen-instance", "--config"),
+    ])
+    def test_unreadable_input(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing.csv"
+        assert "missing.csv" in self.assert_clean_exit(capsys, (*argv, str(missing)))
+
+    def test_verify_bounds_hold_on_the_small_run(self, capsys):
+        assert run_cli(capsys, "verify", *SMALL_RUNS["verify"])[0] == 0
+
+
+def test_handlers_leave_errors_to_main():
+    for name, (_, handler, _) in cli._COMMANDS.items():
+        assert "try:" not in inspect.getsource(handler), name
 
 
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 import poolal as pl
 from poolal.optimal import IdentificationError, _leaves, _route, c_avg, f_avg, f_worst
-from poolal.policies import PolicyNode, PolicyTree, build_batch_policy, build_policy
+from poolal.policies import (
+    PolicyNode,
+    PolicyTree,
+    build_batch_policy,
+    build_policy,
+    policy_to_text,
+    run_policy,
+)
 from poolal.utilities import (
     GeneralizedReduction,
     PruningCount,
@@ -216,6 +223,36 @@ class TestEdgeCases:
         for evaluate in (lambda: c_avg(pl.uniform_prior(square), tree), lambda: _leaves(tree)):
             with pytest.raises(ValueError, match="one child slot per label"):
                 evaluate()
+
+    def test_slot_counts_are_checked_per_node(self, square):
+        # 3 + 1 slots over two nodes: the right total, the wrong shape
+        tree = PolicyTree(square, PolicyNode("x0", (PolicyNode("x1", (None,)), None, None)))
+        with pytest.raises(ValueError, match="one child slot per label"):
+            _leaves(tree)
+
+    @pytest.mark.parametrize("n_slots", [1, 3])
+    def test_run_policy_needs_one_slot_per_label(self, square, n_slots):
+        tree = PolicyTree(square, PolicyNode("x0", (None,) * n_slots))
+        with pytest.raises(ValueError, match=r"one child slot per label \(2\)"):
+            run_policy(tree, square.hypothesis(3))
+
+    @pytest.mark.parametrize("n_slots", [1, 3])
+    def test_policy_to_text_needs_one_slot_per_label(self, square, n_slots):
+        tree = PolicyTree(square, PolicyNode("x0", (None, PolicyNode("x1", (None,) * n_slots))))
+        with pytest.raises(ValueError, match=r"one child slot per label \(2\)"):
+            policy_to_text(tree)
+
+    def test_run_policy_unknown_label(self, square):
+        tree = PolicyTree(square, PolicyNode("x0", (None, None)))
+        with pytest.raises(ValueError, match="unknown label '9'"):
+            run_policy(tree, pl.Hypothesis("hz", ("x0", "x1"), ("9", "0")))
+
+    def test_deep_chain_prints_without_recursion(self, square):
+        node = None
+        for _ in range(3000):
+            node = PolicyNode("x0", (node, None))
+        text = policy_to_text(PolicyTree(square, node))
+        assert text == "0,x0,\n" + "".join(f"{d},x0,0\n" for d in range(1, 3000))
 
     def test_deep_chain_does_not_recurse(self, square):
         node = None

@@ -9,6 +9,7 @@ from poolal.robustness import (
     ALPHA_GREEDY,
     BoundReport,
     _perturbed_with_support,
+    _uncovered,
     check_avg_bound,
     check_batch_avg_bound,
     check_mincost_bound,
@@ -111,6 +112,16 @@ class TestMinCostBound:
         p1 = pl.Prior([0.5, 0.5, 0.0, 0.0])
         with pytest.raises(ValueError, match="support"):
             check_mincost_bound(square, p0, p1)
+
+    def test_support_violation_names_the_first_uncovered_id(self, square):
+        p0 = pl.Prior([0.1, 0.2, 0.3, 0.4])
+        p1 = pl.Prior([0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero mass to 'h1'"):
+            check_mincost_bound(square, p0, p1)
+        assert _uncovered(p0, p1).tolist() == [0, 2, 3]
+        assert _uncovered(p1, p0).size == 0
+        with pytest.raises(ValueError, match="prior has 3 entries for 4 hypotheses"):
+            check_mincost_bound(square, p0, pl.Prior([0.5, 0.25, 0.25]))
 
     def test_K_defaults_to_pool_size(self, square):
         p0 = pl.uniform_prior(square)
