@@ -31,8 +31,8 @@ from .core import (
     uniform_prior,
 )
 from .mixture import grid_task, mixture_trajectories
-from .optimal import _leaves, opt_avg, opt_min_cost, opt_worst
-from .policies import CRITERIA, build_policy, run_policy
+from .optimal import _leaves, _route, opt_avg, opt_min_cost, opt_worst
+from .policies import CRITERIA, build_policy
 from .robustness import counterexample_instance, sweep_reports
 from .utilities import (
     GeneralizedReduction,
@@ -141,13 +141,18 @@ def cmd_run(opts) -> int:
     loss = u.loss if isinstance(u, GeneralizedReduction) else None
     tree = build_policy(opts.criterion, prior, inst, opts.budget, loss=loss)
 
-    # hypotheses sharing a leaf share its path and its agreement set V
+    # hypotheses sharing a leaf share its agreement set V and its path, read up the node table
+    key, (example, child, names, _), Y = _route(tree)[0], tree._table, inst.n_labels
+    up = {c: s for s, c in enumerate(child.ravel().tolist()) if c >= 0}  # a child's slot in its parent
     rows = [""] * inst.n_hypotheses
     utility = _set_utility_fn(u, prior, inst)
-    for V in _leaves(tree):
-        queried, labels, cost = run_policy(tree, inst.hypothesis(V[0]))
-        value = _fmt(utility(V))
-        tail = f"{'|'.join(queried)},{'|'.join(labels)},{value},{cost}"
+    for V in _leaves(tree, key):
+        path = [int(key[V[0]])]
+        while path[-1] // Y in up:
+            path.append(up[path[-1] // Y])
+        queried = "|".join(names[example[s // Y]] for s in reversed(path))
+        labels = "|".join(inst.labels[s % Y] for s in reversed(path))
+        tail = f"{queried},{labels},{_fmt(utility(V))},{len(path)}"
         for hi in V.tolist():
             rows[hi] = f"{inst.ids[hi]},{tail}"
     lines = [RUN_SCHEMA, "hypothesis,queried,labels,utility,cost", *rows]
@@ -192,10 +197,17 @@ def _report_row(report) -> str:
     return ",".join(cells)
 
 
+def _radii(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(r) for r in text.split(","))
+    except ValueError:
+        raise ValueError(f"--radii must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_verify(opts) -> int:
     if opts.counterexample:
         return cmd_counterexample(opts)
-    radii = tuple(float(r) for r in opts.radii.split(","))
+    radii = _radii(opts.radii)
     reports = sweep_reports(n_instances=opts.trials, radii=radii, seed=opts.seed, budget=opts.budget)
     lines = [VERIFY_SCHEMA, ",".join(VERIFY_COLUMNS)]
     lines.extend(_report_row(r) for r in reports)

@@ -1,8 +1,8 @@
 """Policy values and exact optimal policies on small instances.
 
-f_avg, f_worst and c_avg route all hypotheses down the tree at once and
-evaluate the utility once per leaf, whose hypotheses share one agreement
-set: O(H * depth).  Greedy trees build posteriors only for nodes they expand.
+f_avg, f_worst and c_avg route all hypotheses down a tree's node table at once
+and evaluate the utility once per leaf, whose hypotheses share one agreement
+set: O(H * depth).  The oracles' ``PolicyNode`` trees are flattened on first use.
 Under the built-in 0-1 loss, f_worst evaluates only the leaves whose pair-mass
 bounds keep them in contention for the min (``utilities._certified_argmax``'s test).
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Instance, Prior, _check_prior
-from .policies import PolicyNode, PolicyTree, _slots, policy_to_text
+from .policies import PolicyNode, PolicyTree, policy_to_text
 from .utilities import GeneralizedReduction, Utility, _contenders, _pair_mass_bounds, _set_utility_fn
 
 EXAMPLE_CAP = 6
@@ -61,28 +61,19 @@ class OptResult:
 def _route(tree: PolicyTree) -> tuple[np.ndarray, np.ndarray]:
     """Each hypothesis's leaf key and depth: all move down one level per step.
 
-    A leaf is keyed by its slot k * Y + y, label y of the k-th node breadth
-    first; an unknown example raises ``ValueError`` once a hypothesis reaches it.
+    A leaf is keyed by its slot k * Y + y, label y of node k in the tree's
+    node table; an unknown example raises ``ValueError`` once a hypothesis reaches it.
     """
     inst = tree.instance
-    H, Y = inst.n_hypotheses, inst.n_labels
+    H, X, Y = inst.n_hypotheses, inst.n_examples, inst.n_labels
     key, depth = np.zeros(H, dtype=np.intp), np.zeros(H, dtype=np.intp)
-    if tree.root is None:
-        return key, depth
-    nodes, child = [tree.root], []  # child[k * Y + y]: the flat index of node k's y-child, or -1
-    for node in nodes:  # grows while read: a breadth-first queue
-        for c in _slots(node, Y):
-            child.append(-1 if c is None else len(nodes))
-            if c is not None:
-                nodes.append(c)
-    examples = np.array([inst.example_index.get(n.example, -1) for n in nodes], dtype=np.intp)
-    child, labels = np.array(child, dtype=np.intp), inst.label_matrix.ravel()
-    hyp, at, level = np.arange(H), np.zeros(H, dtype=np.intp), 0
+    examples, child, names, root = tree._table  # the empty tree (root -1) routes no one
+    hyp, at, level = np.arange(H if root >= 0 else 0), np.full(H, root), 0
     while hyp.size:
         xs, level = examples.take(at), level + 1
-        if xs.min() < 0:
-            raise ValueError(f"unknown example {nodes[at[np.argmin(xs)]].example!r}")
-        slot = at * Y + labels.take(hyp * inst.n_examples + xs)
+        if xs.max() >= X:  # names past the pool's examples are unknown
+            raise ValueError(f"unknown example {names[xs[np.argmax(xs >= X)]]!r}")
+        slot = at * Y + inst.label_matrix.take(hyp * X + xs)  # take() reads arrays flat
         nxt = child.take(slot)
         done = nxt < 0
         key[hyp[done]], depth[hyp[done]] = slot[done], level
@@ -90,9 +81,9 @@ def _route(tree: PolicyTree) -> tuple[np.ndarray, np.ndarray]:
     return key, depth
 
 
-def _leaves(tree: PolicyTree) -> list[np.ndarray]:
-    """V for every reached leaf, ascending: each member's agreement set on its path."""
-    key = _route(tree)[0]
+def _leaves(tree: PolicyTree, key: np.ndarray | None = None) -> list[np.ndarray]:
+    """V for every reached leaf, ascending: its agreement set, by ``_route`` keys (routed if None)."""
+    key = _route(tree)[0] if key is None else key
     order = np.argsort(key, kind="stable")
     bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), key.size]
     return [order[a:b] for a, b in zip(bounds, bounds[1:])]

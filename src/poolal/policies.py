@@ -4,7 +4,8 @@ A policy tree queries one example per internal node and branches on the
 observed label.  Trees built here are total over label outcomes; label
 branches that no hypothesis can produce are marked unreachable (no
 child).  Every tie anywhere breaks toward the lowest pool index, so
-identical inputs always yield identical trees and transcripts.
+identical inputs always yield identical trees and transcripts.  A tree is
+a breadth-first node table; its ``PolicyNode`` objects are built on demand.
 
 Greedy trees grow a level at a time.  Up to X * Y nodes are scored from
 one stacked product that gives each row the bits of ``label_marginals``.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import pairwise
 from typing import Callable, Iterable, Sequence
 
@@ -48,23 +49,42 @@ class PolicyNode:
     children: tuple["PolicyNode | None", ...]
 
 
-def _slots(node: PolicyNode, n_labels: int) -> tuple["PolicyNode | None", ...]:
-    """``node``'s children, after checking it has one slot per label."""
-    if len(node.children) != n_labels:
-        raise ValueError(f"every policy node needs one child slot per label ({n_labels})")
-    return node.children
-
-
-@dataclass(frozen=True, eq=False)
 class PolicyTree:
-    """An adaptive querying strategy over a fixed instance.
+    """An adaptive querying strategy over a fixed instance, as a breadth-first node table
+    ``_table`` = (example, child, names, at): node k queries ``names[example[k]]``, its y-child is
+    node ``child[k, y]`` or -1, and the root is node ``at``, -1 for the empty policy (``root is
+    None``).  A forest's trees share one table.  ``root`` builds ``PolicyNode``s on first access;
+    a tree given as nodes is flattened to a table on first use."""
 
-    ``root is None`` is the empty policy (query nothing), the recursion
-    base for zero budgets and already-identified version spaces.
-    """
+    def __init__(self, instance: Instance, root: PolicyNode | None, _table: tuple | None = None):
+        given = {"root": root} if _table is None else {"_table": _table}  # the other is built on demand
+        self.__dict__.update(instance=instance, **given)
 
-    instance: Instance
-    root: PolicyNode | None
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @functools.cached_property
+    def root(self) -> PolicyNode | None:
+        example, child, names, at = self._table
+        ex, ch, rows, made = example.tolist(), child.tolist(), [at] if at >= 0 else [], {}
+        for k in rows:  # grows while read: this tree's nodes, breadth first
+            rows.extend(c for c in ch[k] if c >= 0)
+        for k in reversed(rows):  # children first; made.get(-1) is None
+            made[k] = PolicyNode(names[ex[k]], tuple(map(made.get, ch[k])))
+        return made.get(at)
+
+    @functools.cached_property
+    def _table(self) -> tuple:
+        Y, codes = self.instance.n_labels, dict(self.instance.example_index)  # unknown names next
+        nodes, slots = [] if self.root is None else [self.root], []
+        for node in nodes:  # grows while read: a breadth-first queue
+            if len(node.children) != Y:
+                raise ValueError(f"every policy node needs one child slot per label ({Y})")
+            slots += node.children
+            nodes += [c for c in node.children if c is not None]
+        kid = np.array([c is not None for c in slots], dtype=bool)  # the k-th kid is node k + 1
+        example = np.array([codes.setdefault(n.example, len(codes)) for n in nodes], dtype=np.intp)
+        return example, np.where(kid, kid.cumsum(), -1).reshape(-1, Y), tuple(codes), 0 if nodes else -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,9 +423,10 @@ def _grow_rounds(
     ``choose(P, frontier, avail)`` gives each node a batch of pool indices among the examples
     its ``avail`` row flags, queried blind; ``P`` holds a level's dense rows if it has at most
     X * Y nodes, else is None.  A child's mass has the bits of its parent's dense row summed over
-    the whole label column; a massless child is uniform over its consistent set."""
+    the whole label column; a massless child is uniform over its consistent set.  The levels'
+    picks and expanded slots become the forest's one node table, its trees' roots on level 0."""
     X, Y, H = inst.n_examples, inst.n_labels, inst.n_hypotheses
-    n_trees = len(stack)  # under stop_when_identified, a root with one entry of mass stays empty
+    # under stop_when_identified, a root with one entry of mass stays empty
     roots = np.flatnonzero(np.count_nonzero(stack, axis=1) > stop_when_identified)
     column = functools.cache(lambda x, y: (inst.label_columns[x] == y).nonzero()[0])  # ascending
     node, hyp, val = np.arange(roots.size).repeat(H), np.tile(np.arange(H), roots.size), stack[roots].ravel()
@@ -432,15 +453,13 @@ def _grow_rounds(
         node, hyp, val, avail, batch = _frontier(kids, masses, key, hyp, val, size, avail, bt, pos, Y)
         pos = (pos + 1) % bt.shape[1]
         rounds_left -= pos == 0
-    below: list = []  # the next level's nodes, in order
-    for xi, kids in reversed(levels):
-        flat = [None] * (Y * len(xi))
-        for k, child in zip(kids.tolist(), below):
-            flat[k] = child
-        names = [inst.examples[x] for x in xi.tolist()]
-        below = list(map(PolicyNode, names, zip(*[iter(flat)] * Y)))  # Y slots to a node
-    tree_of = dict(zip(roots.tolist(), below))  # the first level's nodes are the roots, in order
-    return [PolicyTree(inst, tree_of.get(i)) for i in range(n_trees)]
+    example, top = np.concatenate([np.arange(0), *(xi for xi, _ in levels)]), 0
+    child = np.full((example.size, Y), -1)
+    for xi, kids in levels:  # a level's expanded children are the next level's nodes, in order
+        np.put(child, top * Y + kids, top + len(xi) + np.arange(kids.size))  # kids: slots k * Y + y
+        top += len(xi)
+    at = dict(zip(roots.tolist(), range(roots.size)))  # level 0 holds the roots, in order
+    return [PolicyTree(inst, None, (example, child, inst.examples, at.get(i, -1))) for i in range(len(stack))]
 
 
 def _build_forest(criterion: str, priors: Sequence[Prior], inst: Instance, budget: int, loss, stop):
@@ -506,26 +525,21 @@ def build_batch_policy(
     return _grow_rounds(p.probs[None], inst, n_rounds, choose)[0]
 
 
-def run_policy(
-    tree: PolicyTree, h: Hypothesis
-) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+def run_policy(tree: PolicyTree, h: Hypothesis) -> tuple[tuple[str, ...], tuple[str, ...], int]:
     """Follow ``h``'s labels down the tree: (queried, labels, cost)."""
-    inst = tree.instance
-    labeling = h.labeling
-    queried: list[str] = []
-    labels: list[str] = []
-    node = tree.root
-    while node is not None:
-        x = node.example
-        try:
-            y = labeling[x]
-        except KeyError:
-            raise ValueError(f"hypothesis {h.id!r} does not label example {x!r}") from None
+    inst, labeling = tree.instance, h.labeling
+    example, child, names, k = tree._table
+    queried, labels = [], []
+    while k >= 0:
+        x = names[example[k]]
+        if x not in labeling:
+            raise ValueError(f"hypothesis {h.id!r} does not label example {x!r}")
+        y = labeling[x]
         if y not in inst.label_index:
             raise ValueError(f"unknown label {y!r}")
         queried.append(x)
         labels.append(y)
-        node = _slots(node, inst.n_labels)[inst.label_index[y]]
+        k = child[k, inst.label_index[y]]
     return tuple(queried), tuple(labels), len(queried)
 
 
@@ -558,14 +572,14 @@ def greedy_transcript(
 
 def policy_to_text(tree: PolicyTree) -> str:
     """Serialize a tree as one '<depth>,<example>,<edge-label>' line per node, in pre-order."""
+    example, child, names, at = tree._table
     labels, Y = tree.instance.labels, tree.instance.n_labels
-    lines: list[str] = []
-    stack = [] if tree.root is None else [(tree.root, 0, "")]
+    ex, ch, lines, backwards = example.tolist(), child.tolist(), [], range(Y - 1, -1, -1)
+    stack = [] if at < 0 else [(at, 0, "")]
     while stack:  # children pushed in reverse label order, so they pop in label order
-        node, depth, edge = stack.pop()
-        lines.append(f"{depth},{node.example},{edge}")
-        kids = _slots(node, Y)
-        for yi in range(Y - 1, -1, -1):
-            if kids[yi] is not None:
-                stack.append((kids[yi], depth + 1, labels[yi]))
+        k, depth, edge = stack.pop()
+        lines.append(f"{depth},{names[ex[k]]},{edge}")
+        for yi in backwards:
+            if (c := ch[k][yi]) >= 0:
+                stack.append((c, depth + 1, labels[yi]))
     return "\n".join(lines) + ("\n" if lines else "")

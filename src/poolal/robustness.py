@@ -337,9 +337,7 @@ def counterexample_instance(
     p1 = Prior(np.array([0.5 - mu - delta, 0.5 - mu - delta, mu + delta, mu + delta]))
     u = PruningCount(mu)
 
-    leaves: tuple[None, None] = (None, None)
-    pi0 = PolicyTree(inst, PolicyNode("x0", leaves))
-    pi1 = PolicyTree(inst, PolicyNode("x1", leaves))
+    pi0, pi1 = (PolicyTree(inst, PolicyNode(x, (None, None))) for x in ("x0", "x1"))
 
     score = f_avg if mode == "avg" else f_worst
     oracle = opt_avg if mode == "avg" else opt_worst

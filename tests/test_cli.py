@@ -232,6 +232,15 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: perturbation radius must lie in [0, 2], got ")
 
+    @pytest.mark.parametrize("radii", ["", "0.1,,0.2", "abc", "0.1;0.2"])
+    def test_unparsable_radii_name_the_option(self, capsys, tmp_path, radii):
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", f"--radii={radii}")
+        assert (code, out, err) == (2, "", f"error: --radii must be comma-separated numbers, got {radii!r}\n")
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(f"radii={radii}\n")
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: --radii must be comma-separated numbers, got {radii!r}\n")
+
     def test_small_sweep_exits_clean(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--trials", "4", "--radii", "0.1,0.3", "--seed", "3"

@@ -344,3 +344,63 @@ class TestSweep:
         assert up.holds and up.slack == 0.5
         down = BoundReport.at_most("x", 1.0, 0.5, {})
         assert not down.holds and down.slack == -0.5
+
+
+class TestBoundsFromFirstPrinciples:
+    """Each bound's sides recomputed from its formula, not from the report's own params: the
+    greedy tree replayed hypothesis by hypothesis, alpha(p1) = ln(1 / min support p1) + 1 and
+    the oracle's value, on instances where a misplaced prior or constant moves the number."""
+
+    @staticmethod
+    def mixture_case():
+        # thresholds 000, 100, 110, 111 with half the mixture's mass on h0: greedy splitting asks
+        # x0 first, so h0 is identified after one query and the others after two or three
+        examples = ("x0", "x1", "x2")
+        rows = [("0", "0", "0"), ("1", "0", "0"), ("1", "1", "0"), ("1", "1", "1")]
+        inst = pl.Instance(examples, ("0", "1"),
+                           [pl.Hypothesis(f"h{i}", examples, r) for i, r in enumerate(rows)])
+        components = [pl.Prior([0.7, 0.1, 0.1, 0.1]), pl.Prior([0.3, 0.3, 0.2, 0.2]),
+                      pl.Prior([0.5, 0.1, 0.2, 0.2])]
+        return inst, components
+
+    @staticmethod
+    def alpha(p):
+        return math.log(1.0 / float(p.probs[p.probs > 0].min())) + 1.0
+
+    @pytest.mark.parametrize("true_index", [0, 1, 2])
+    def test_mixture_lhs_is_the_true_priors_mean_depth(self, true_index):
+        inst, components = self.mixture_case()
+        p0, mix = components[true_index], pl.Prior(np.mean([c.probs for c in components], axis=0))
+        tree = pl.build_policy("gbs", mix, inst, inst.n_examples, stop_when_identified=True)
+        depth = [pl.run_policy(tree, inst.hypothesis(i))[2] for i in range(inst.n_hypotheses)]
+        under = {name: sum(float(q.probs[i]) * depth[i] for i in range(inst.n_hypotheses))
+                 for name, q in (("true", p0), ("mixture", mix))}
+        assert abs(under["true"] - under["mixture"]) > 0.05  # the instance tells the priors apart
+        for r in check_mixture_bounds(inst, components, true_index):
+            assert r.lhs == pytest.approx(under["true"], rel=1e-12)
+
+    @pytest.mark.parametrize("true_index", [0, 1, 2])
+    def test_mixture_ceilings(self, true_index):
+        inst, components = self.mixture_case()
+        k, p0 = len(components), components[true_index]
+        mix = pl.Prior(np.mean([c.probs for c in components], axis=0))
+        opt_mix, opt_true = pl.opt_min_cost(mix, inst).value, pl.opt_min_cost(p0, inst).value
+        min_p0 = float(p0.probs.min())
+        alpha, alpha_spec = self.alpha(mix), math.log(k / min_p0) + 1.0
+        r_mix, r_true = check_mixture_bounds(inst, components, true_index)
+        assert r_mix.rhs == pytest.approx(alpha * k * opt_mix, rel=1e-12)
+        assert r_true.rhs == pytest.approx(alpha * (1.0 + (k - 1) / min_p0) * opt_true, rel=1e-12)
+        assert r_mix.params["specialized_rhs"] == pytest.approx(alpha_spec * k * opt_mix, rel=1e-12)
+        assert r_true.params["specialized_rhs"] == pytest.approx(
+            alpha_spec * (1.0 + (k - 1) / min_p0) * opt_true, rel=1e-12)
+
+    @pytest.mark.parametrize("radius", [0.1, 0.3])
+    def test_mincost_ceiling(self, radius):
+        inst, components = self.mixture_case()
+        p0 = components[0]
+        p1 = _perturbed_with_support(p0, radius, [5, int(radius * 1000)])
+        l1 = float(np.abs(p0.probs - p1.probs).sum())
+        assert l1 > 0.0
+        opt, alpha, K = pl.opt_min_cost(p0, inst).value, self.alpha(p1), inst.n_examples
+        r = check_mincost_bound(inst, p0, p1)
+        assert r.rhs == pytest.approx(alpha * opt + (alpha + 1.0) * K * l1, rel=1e-12)
