@@ -16,7 +16,6 @@ set.  Exit status: 0 on success, 1 only when a ``verify`` bound fails, and
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 from pathlib import Path
@@ -241,12 +240,6 @@ def _mixture_components(opts):
 
 
 def cmd_mixture_demo(opts) -> int:
-    # glibc trims and re-faults the heap each step frees (512 KB per posterior at H = 65,536)
-    libc = ctypes.CDLL(None) if os.name == "posix" else None
-    if hasattr(libc, "mallopt"):  # keep it as glibc itself would after freeing an 8 MB block
-        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        libc.mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
     inst, components = _mixture_components(opts)
     rows, means = mixture_trajectories(
         inst,

@@ -7,11 +7,15 @@ the components' predictive probabilities for the observed label and each
 posterior does its own Bayes update.  Components may be deterministic (a
 prior over labelings) or probabilistic (a weighted ensemble of
 per-example predictors).  A state also carries its version space V and
-Σ w·q at V, which an observation updates at V only.  Picks and predicted
-labels are certified from one product of Σ w·q plus a rounding-error
-bound that holds for any summation order (``MixtureState._bounds``,
-decided by ``utilities._certified_argmax``); only what it cannot
-separate, exact ties included, reads the dense per-component table.
+Σ w·q at V, and ``mixture_observe`` keeps each live prior's posterior as
+its values at V (``_PosteriorAtV``), so an observation reads and writes
+|V| entries per component; the dense vector is built only where
+something reads ``probs``.  Picks and predicted labels are certified
+from one product of Σ w·q, summed over V once V is small, plus a
+rounding-error bound that holds for any summation order
+(``MixtureState._bounds``, decided by ``utilities._certified_argmax``);
+only what it cannot separate, exact ties included, reads the dense
+per-component table.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -104,11 +108,13 @@ class MixtureState:
         divides F by T at V: each likelihood cancels in exact arithmetic, and the new weight,
         posterior entry and F[h] add four roundings (r += 4); their underflows, weights that
         underflow to 0 and e/T make a' = 2(a + (k + 1)(|V| + 2)·2⁻¹⁰⁷⁴)/T for the k live components
-        before it.  The float m, F times the first Y − 1 label rows of each example plus each
-        ensemble's ``w * table``, is within γ_{H+k+1+r} and a + k·2⁻¹⁰⁷⁵ of the same sum, so the
-        entry lies in [m(1 − δ) − τ, m(1 + δ) + τ], δ = 2(γ_{H+k} + γ_{H+k+1+r}) and
-        τ = 2(a + k·2⁻¹⁰⁷⁴).  The last label's entry, F's total s minus the others, adds
-        4(γ_{H+r+Y}·s + a) to τ.  The factors 2 and 4 cover the rounding of this arithmetic.
+        before it; a posterior carried at V holds the dense entries' doubles there.  The float m,
+        F times the first Y − 1 label rows of each example (``_flat_marginals`` sums over V or
+        over H: at most H exact products, in any order) plus each ensemble's ``w * table``, is
+        within γ_{H+k+1+r} and a + k·2⁻¹⁰⁷⁵ of the same sum, so the entry lies in
+        [m(1 − δ) − τ, m(1 + δ) + τ], δ = 2(γ_{H+k} + γ_{H+k+1+r}) and τ = 2(a + k·2⁻¹⁰⁷⁴).
+        The last label's entry, F's total s minus the others, adds 4(γ_{H+r+Y}·s + a) to τ.
+        The factors 2 and 4 cover the rounding of this arithmetic.
         """
         inst, live = self.instance, [(w, c) for w, c in self.components if w != 0.0]
         V, F, r, a = self._carried
@@ -155,22 +161,75 @@ def _component_marginals(comp: Component, inst: Instance) -> np.ndarray:
     return np.tensordot(comp.weights, comp.probs, axes=1)
 
 
-def _component_likelihood(comp: Component, xi: int, yi: int, mask: np.ndarray) -> float:
+class _PosteriorAtV(Prior):
+    """A live prior component's posterior as its ``values`` at the version space ``V`` of the state
+    ``mixture_observe`` made it for, zero elsewhere.  The dense ``probs``, read-only, is built on
+    first read (a dense-table fallback, ``mixture_marginal``, ``flattened_prior``, user code) and
+    kept; ``len`` builds nothing."""
+
+    def __init__(self, V: np.ndarray, values: np.ndarray, n: int):
+        values.setflags(write=False)
+        for name, value in (("V", V), ("values", values), ("_n", n)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        probs = np.zeros(self._n)
+        probs[self.V] = self.values
+        probs.setflags(write=False)
+        return probs
+
+    def __len__(self) -> int:
+        return self._n
+
+
+class _Column(NamedTuple):
+    """The observed label's column as a live prior reads it at the state's version space ``V``:
+    ``size`` hypotheses carry the label; the new V, V's members among them, sits at ``keep`` in V
+    and at ``pos`` in the column (``pos`` is None when V holds every hypothesis)."""
+
+    V: np.ndarray
+    size: int
+    keep: np.ndarray
+    new_V: np.ndarray
+    pos: np.ndarray | None
+
+    def inside(self, comp: Prior) -> np.ndarray:
+        """``comp``'s entries at the new V, outside which its column is zero.  Only a state built
+        by hand has dense live priors, and its V holds every hypothesis."""
+        carried = isinstance(comp, _PosteriorAtV) and comp.V is self.V
+        return (comp.values if carried else comp.probs).take(self.keep)
+
+
+def _component_likelihood(comp: Component, xi: int, yi: int, mask: np.ndarray | _Column) -> float:
     """One component's probability that example ``xi`` carries label ``yi``.
 
     ``mask`` flags (or lists) the hypotheses labeling ``xi`` with ``yi``; a
     prior sums its mass there, an ensemble averages its members' predictions.
+    A live prior given the ``_Column`` sums a zero-filled buffer of the
+    column's length with its entries at V scattered in: the bytes of
+    ``probs[mask]``, so the sum keeps their bits.
     """
+    if isinstance(mask, _Column):
+        column = mask.inside(comp)
+        if mask.pos is not None:
+            column, inside = np.zeros(mask.size), column
+            column[mask.pos] = inside
+        return float(column.sum())
     if isinstance(comp, Prior):
         return float(comp.probs[mask].sum())
     return float(comp.weights @ comp.probs[:, xi, yi])
 
 
 def _component_update(
-    comp: Component, like: float, mask: np.ndarray, xi: int, yi: int
+    comp: Component, like: float, mask: np.ndarray | _Column, xi: int, yi: int
 ) -> Component:
     """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0; a
-    prior keeps its entries at ``mask`` (flags or indices covering its support there) / like."""
+    prior keeps its entries at ``mask`` (flags or indices covering its support there) / like, a
+    live prior given the ``_Column`` its entries at the new V, carried there."""
+    if isinstance(mask, _Column):  # the doubles of the dense update below, at the new V only
+        inside = mask.inside(comp)
+        return _PosteriorAtV(mask.new_V, np.divide(inside, like, out=inside), len(comp))
     if isinstance(comp, Prior):  # the doubles of core.posterior: 0 / like is 0 too
         probs, inside = np.zeros(comp.probs.size), comp.probs[mask]
         probs[mask] = np.divide(inside, like, out=inside)
@@ -262,18 +321,27 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     xi, yi = inst.example_index[x], inst.label_index[y]
     idx = np.flatnonzero(mask)
     V, F, r, a = state._carried
-    keep = idx if V.size == inst.n_hypotheses else np.flatnonzero(mask[V])  # V of all: idx itself
-    V, F = V.take(keep), F.take(keep)  # the new version space, and Σ w·q there
-    likelihoods = np.array([_component_likelihood(c, xi, yi, idx) for c in state.posteriors])
+    if V.size == inst.n_hypotheses:  # V of all: the new V is the column itself
+        col = _Column(V, idx.size, idx, idx, None)
+    else:
+        keep = np.flatnonzero(mask[V])
+        new_V = V.take(keep)
+        col = _Column(V, idx.size, keep, new_V, np.searchsorted(idx, new_V))
+    # a live prior reads and writes its entries at V only; a dead one (weight 0) may hold mass
+    # outside V and is updated over the whole column
+    masks = [col if w != 0.0 and isinstance(c, Prior) else idx for w, c in state.components]
+    likelihoods = np.array([
+        _component_likelihood(c, xi, yi, m) for c, m in zip(state.posteriors, masks)
+    ])
     new_weights = state.weights * likelihoods
     total = float(new_weights.sum())
     if total <= 0.0:
         raise ImpossibleObservationError(
             f"label {y!r} for example {x!r} has zero probability under the mixture"
         )
-    new_posteriors = tuple(  # a dead component (weight 0) may hold mass outside V
-        _component_update(comp, like, V if w != 0.0 else idx, xi, yi) if like > 0.0 else comp
-        for w, comp, like in zip(state.weights, state.posteriors, likelihoods)
+    new_posteriors = tuple(
+        _component_update(c, like, m, xi, yi) if like > 0.0 else c
+        for c, like, m in zip(state.posteriors, likelihoods.tolist(), masks)
     )
     new = MixtureState(
         inst,
@@ -282,8 +350,9 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
         state.step + 1,
         LabeledSet(state.transcript.pairs + ((x, y),)),
     )
-    k = np.count_nonzero(state.weights)
+    k, V = np.count_nonzero(state.weights), col.new_V
     a = 2 * (a + (k + 1) * (V.size + 2) * 2.0**-1074) / total  # see ``MixtureState._bounds``
+    F = F.take(col.keep)  # Σ w·q at the new V
     object.__setattr__(new, "_carried", (V, np.divide(F, total, out=F), r + 4, a))
     return new
 
@@ -377,13 +446,21 @@ def _flat_mass(components, n: int) -> np.ndarray:
 
 def _flat_marginals(inst: Instance, V: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, float]:
     """Label marginals of F at V (zero elsewhere) and its float total s, from the first Y − 1
-    label rows of each example (strided views of ``label_onehot``); the last is s − the others."""
+    label rows of each example; the last is s − the others.  A V of at most H/8 hypotheses sums
+    over V, from its rows of ``label_matrix``; a larger one multiplies the strided rows of
+    ``label_onehot`` by F spread over H, which was faster above H/8 (16 × 65,536 on a 2-vCPU
+    x86-64 host, numpy 2.4.6).  ``MixtureState._bounds`` holds for either order."""
     n_y = inst.n_labels
-    flat = np.zeros(inst.n_hypotheses)
-    flat[V] = F
     m = np.empty((inst.n_examples, n_y))
-    for yi in range(n_y - 1):
-        m[:, yi] = inst.label_onehot[yi::n_y] @ flat
+    if 8 * V.size <= inst.n_hypotheses:
+        rows = inst.label_matrix.take(V, axis=0)  # (|V|, X)
+        for yi in range(n_y - 1):
+            m[:, yi] = F @ (rows == yi)
+    else:
+        flat = np.zeros(inst.n_hypotheses)
+        flat[V] = F
+        for yi in range(n_y - 1):
+            m[:, yi] = inst.label_onehot[yi::n_y] @ flat
     s = float(F.sum())
     m[:, -1] = s - m[:, :-1].sum(axis=1)
     return m, s
@@ -411,6 +488,19 @@ def step_predictor_ensemble(
     return ModelEnsemble(inst, [1.0], table)
 
 
+_GRID_BYTES = 2**30  # the most a grid task's arrays may take
+
+
+def _grid_cap(n_components: int) -> int:
+    """The largest pool whose 2^X labelings fit their arrays in ``_GRID_BYTES``: per labeling,
+    X int16 entries each in ``label_matrix`` and ``label_columns``, 2X float64 in
+    ``label_onehot`` and one float64 per component prior, 20X + 8k bytes."""
+    cap = 0
+    while 2 ** (cap + 1) * (20 * (cap + 1) + 8 * n_components) <= _GRID_BYTES:
+        cap += 1
+    return cap
+
+
 @functools.lru_cache(maxsize=4)
 def grid_task(
     n_examples: int = 16, n_components: int = 4
@@ -418,6 +508,12 @@ def grid_task(
     """A pool plus induced priors from an evenly spaced offset grid."""
     if n_examples < 2 or n_components < 1:
         raise ValueError("need at least two examples and one component")
+    cap = _grid_cap(n_components)
+    if n_examples > cap:  # before anything is allocated
+        raise ValueError(
+            f"pool size {n_examples} is over the cap of {cap} for {n_components} components: "
+            f"its 2**{n_examples} labelings would take more than {_GRID_BYTES >> 30} GiB of arrays"
+        )
     inst = full_hypothesis_space(
         tuple(f"x{i}" for i in range(n_examples)), ("0", "1")
     )

@@ -675,3 +675,64 @@ def test_config_value_resolves_like_its_flag(monkeypatch, tmp_path, command, fla
     from_config = _resolved(monkeypatch, [command, "--config", str(cfg)])
     assert from_config == _resolved(monkeypatch, [command, flag, value])
     assert from_config != _resolved(monkeypatch, [command])
+
+
+# Out-of-domain values of each typed option of mixture-demo: 0, -1 and one past its range.
+# --seeds has no upper end; --pool 64 is past the grid task's cap (and past 2**63 labelings);
+# --components 10**8 leaves the priors no room under the cap even at --pool 4.
+MIXTURE_OUT_OF_DOMAIN = {
+    "--seeds": ("0", "-1"),
+    "--budget": ("0", "-1", "5"),
+    "--pool": ("0", "-1", "1", "64"),
+    "--components": ("0", "-1", str(10**8)),
+}
+
+
+def test_mixture_walk_covers_every_typed_option():
+    options = cli._COMMANDS["mixture-demo"][2]
+    assert sorted(MIXTURE_OUT_OF_DOMAIN) == sorted(
+        flag for flag, keywords in options.items() if keywords.get("type") is int
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, value", [(f, v) for f, values in MIXTURE_OUT_OF_DOMAIN.items() for v in values]
+)
+def test_mixture_demo_out_of_domain_exits_2(capsys, flag, value):
+    small = {"--seeds": "1", "--budget": "1", "--pool": "4", "--components": "2", flag: value}
+    code, out, err = run_cli(capsys, "mixture-demo", *(x for kv in small.items() for x in kv))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestGridCap:
+    @pytest.mark.parametrize("pool", ["64", "70"])
+    def test_pool_past_the_labeling_space_names_the_cap(self, capsys, pool):
+        code, _, err = run_cli(capsys, "mixture-demo", "--pool", pool, "--seeds", "1")
+        assert code == 2
+        assert err == (f"error: pool size {pool} is over the cap of 21 for 4 components: "
+                       f"its 2**{pool} labelings would take more than 1 GiB of arrays\n")
+
+    @pytest.mark.parametrize("pool", [22, 28, 40, 63])
+    def test_pool_over_the_cap_allocates_nothing(self, capsys, monkeypatch, pool):
+        from poolal import mixture
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full_hypothesis_space called over the cap")
+
+        monkeypatch.setattr(mixture, "full_hypothesis_space", refuse)
+        code, _, err = run_cli(capsys, "mixture-demo", "--pool", str(pool), "--seeds", "1")
+        assert code == 2
+        assert f"pool size {pool} is over the cap of 21" in err
+
+    @pytest.mark.parametrize("k", [1, 4, 16, 1000, 10**6])
+    def test_cap_is_the_largest_pool_whose_arrays_fit(self, k):
+        from poolal.mixture import _GRID_BYTES, _grid_cap
+
+        def size(n):  # int16 label rows and columns, float64 one-hot and priors
+            return 2**n * (n * (2 + 2 + 2 * 8) + 8 * k)
+
+        cap = _grid_cap(k)
+        assert size(cap) <= _GRID_BYTES < size(cap + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -526,3 +527,216 @@ class TestObserveBytes:
         for x, y in (("x0", "1"), ("x1", "0"), ("x2", "1")):
             state = observe_like_dense(state, x, y)
             assert np.signbit(state.posteriors[0].probs).any()  # a -0.0 inside V keeps its sign
+
+
+def densified(comp):
+    """Whether a posterior carried at V has built its dense ``probs``."""
+    return "probs" in vars(comp)
+
+
+def dense_of(comp):
+    """A prior's dense vector; a posterior carried at V builds it without keeping it."""
+    if isinstance(comp, mixture._PosteriorAtV):
+        return mixture._PosteriorAtV.probs.func(comp)
+    return comp.probs
+
+
+def observe_compact(state, x, y):
+    """``mixture_observe(state, x, y)`` against ``dense_observe``, byte for byte: each live prior
+    is read and updated at V only, without building a dense vector, and its dense vector is
+    read-only with the dense update's bytes.  None when both find the observation impossible."""
+    inst = state.instance
+    carried = [c for c in state.posteriors if isinstance(c, mixture._PosteriorAtV)]
+    built = [densified(c) for c in carried]
+    likes = []
+    real = mixture._component_likelihood
+
+    def spy(*args):
+        likes.append(real(*args))
+        return likes[-1]
+
+    with mock.patch.object(mixture, "_component_likelihood", spy):
+        try:
+            new = mixture_observe(state, x, y)
+        except ImpossibleObservationError:
+            new = None
+    V = state._carried[0]
+    for c, was in zip(carried, built):  # only a dead component, or one off V, was densified
+        alive = any(c is p for w, p in state.components if w != 0.0)
+        assert densified(c) == was or not (alive and c.V is V)
+    shadow = tuple(pl.Prior._trusted(dense_of(c)) if isinstance(c, pl.Prior) else c
+                   for c in state.posteriors)  # so the reference builds no kept vector
+    expected = dense_observe(dataclasses.replace(state, posteriors=shadow), x, y)
+    if new is None:
+        assert expected is None
+        return None
+    weights, want_likes, posteriors = expected
+    assert np.array(likes).tobytes() == want_likes.tobytes()
+    assert new.weights.tobytes() == weights.tobytes()
+    new_V = new._carried[0]
+    for w, c, like, got, want in zip(state.weights, state.posteriors, likes, new.posteriors,
+                                     posteriors):
+        if not isinstance(c, pl.Prior):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            continue
+        assert len(got) == inst.n_hypotheses
+        if w != 0.0 and like > 0.0:  # updated at V: carried at the new V, still compact
+            assert isinstance(got, mixture._PosteriorAtV) and got.V is new_V
+            assert not densified(got)
+            assert not got.values.flags.writeable
+        dense = dense_of(got)
+        assert dense.tobytes() == want.probs.tobytes() and not dense.flags.writeable
+    return new
+
+
+def compact_chain(state, truth, order):
+    """Observe ``truth``'s labels in ``order`` through ``observe_compact``; every state reached."""
+    states = [state]
+    for xi in order:
+        x = state.instance.examples[xi]
+        new = observe_compact(states[-1], x, truth.label_of(x))
+        if new is None:
+            break
+        states.append(new)
+    return states
+
+
+def dying_prior(inst, rng, xi, yi):
+    """A sparse prior with no mass where example ``xi`` carries label ``yi``; any sparse prior
+    when every hypothesis carries it there."""
+    others = inst.label_columns[xi] != yi
+    if not others.any():
+        return sparse_prior(inst, rng)
+    probs = np.where(others, rng.dirichlet(np.full(inst.n_hypotheses, 0.5)), 0.0)
+    if probs.sum() == 0.0:
+        probs[int(np.flatnonzero(others)[0])] = 1.0
+    return pl.Prior(probs / probs.sum())
+
+
+class TestCompactPosteriors:
+    """Posteriors carried at V (``mixture._PosteriorAtV``) against the dense update."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 4), st.booleans(),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_chains(self, seed, n_labels, n_priors, ensemble, subnormal):
+        rng = np.random.default_rng(seed)
+        n_examples = int(rng.integers(2, 7))
+        inst = pl.random_instance(
+            n_examples, min(int(rng.integers(1, 400)), n_labels**n_examples), n_labels, rng=rng
+        )
+        truth = inst.hypothesis(int(rng.integers(inst.n_hypotheses)))
+        order = rng.permutation(n_examples)
+        # the last prior dies at the second query if live: it gives the truth's label no mass
+        components = [sparse_prior(inst, rng) for _ in range(n_priors - 1)]
+        second = int(order[min(1, n_examples - 1)])
+        components.append(dying_prior(inst, rng, second, inst.label_index[truth.label_of(
+            inst.examples[second])]))
+        if ensemble:
+            components.insert(int(rng.integers(n_priors + 1)), random_ensemble(inst, rng))
+        weights = rng.dirichlet(np.ones(len(components)))
+        if subnormal:  # weights that underflow to 0 after an update
+            weights[-1] = 2.0**-1074
+        weights[rng.random(len(components)) < 0.2] = 0.0
+        if weights.sum() == 0.0:
+            weights[0] = 1.0
+        state = initial_state(inst, components, weights / weights.sum())
+        compact_chain(state, truth, order)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_chains(self, seed):
+        inst, components = grid_task(12, 4)
+        rng = np.random.default_rng([seed, 37])
+        truth = sample_truth(inst, components, rng)
+        states = compact_chain(initial_state(inst, components), truth,
+                               rng.permutation(inst.n_examples))
+        assert len(states) == inst.n_examples + 1
+        assert not any(densified(c) for s in states[1:] for c in s.posteriors)
+        for c in states[-1].posteriors:  # built once, on first read, and kept
+            dense = c.probs
+            assert densified(c) and c.probs is dense and not dense.flags.writeable
+            assert dense.tobytes() == dense_of(c).tobytes() and len(c) == dense.size
+
+    def test_dead_component_revived_by_a_later_label(self):
+        # the second prior dies at x0 = '1' while carried at V, holding mass outside the next V;
+        # x1 = '0' revives it, densified and updated over the whole column at weight 0
+        inst = pl.full_hypothesis_space(("x0", "x1", "x2", "x3"), ("0", "1", "2"))
+        rng = np.random.default_rng(5)
+        x0_is_1 = inst.label_columns[0] == 1
+        probs = np.where(x0_is_1, 0.0, rng.random(inst.n_hypotheses))
+        dying = pl.Prior(probs / probs.sum())
+        state = initial_state(inst, [pl.uniform_prior(inst), dying])
+        state = observe_compact(state, "x3", "2")
+        carried = state.posteriors[1]
+        assert isinstance(carried, mixture._PosteriorAtV)
+        state = observe_compact(state, "x0", "1")
+        assert state.weights[1] == 0.0 and state.posteriors[1] is carried
+        assert not densified(carried)
+        state = observe_compact(state, "x1", "0")
+        revived = state.posteriors[1]
+        assert densified(carried) and type(revived) is pl.Prior
+        assert revived.probs[~x0_is_1 & (inst.label_columns[1] == 0)].sum() > 0.0
+        observe_compact(state, "x2", "1")
+
+    def test_weights_underflowing_to_zero(self):
+        inst, (a, b, c, d) = grid_task(8, 4)
+        weights = [1.0 - 2.0**-60, 2.0**-60 - 2.0**-1073, 2.0**-1074, 2.0**-1074]
+        state = observe_compact(initial_state(inst, [a, b, c, d], weights), "x0", "1")
+        underflowed = state.posteriors[2]
+        assert state.weights[2] == 0.0 and isinstance(underflowed, mixture._PosteriorAtV)
+        truth = inst.hypothesis(int(np.flatnonzero(inst.label_columns[0] == 1)[77]))
+        compact_chain(state, truth, range(1, inst.n_examples))
+        assert densified(underflowed)  # dead, so read whole at the next observation
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hand_built_states_mixing_compact_and_dense(self, seed):
+        rng = np.random.default_rng([seed, 41])
+        inst = pl.full_hypothesis_space(tuple(f"x{i}" for i in range(5)), ("0", "1", "2"))
+        truth = inst.hypothesis(int(rng.integers(inst.n_hypotheses)))
+        order = rng.permutation(inst.n_examples)
+        start = initial_state(inst, [sparse_prior(inst, rng, zeros=0.2) for _ in range(3)])
+        reached = compact_chain(start, truth, order[:2])[-1]
+        compact = [c for c in reached.posteriors if isinstance(c, mixture._PosteriorAtV)]
+        assert compact and not any(densified(c) for c in compact)
+        mixed = (compact[0], sparse_prior(inst, rng, zeros=0.2), *compact[1:])
+        weights = rng.dirichlet(np.ones(len(mixed)))
+        # its V covers every hypothesis, so the carried posteriors are read whole
+        state = MixtureState(inst, weights, mixed, reached.step, reached.transcript)
+        assert state._carried[0].size == inst.n_hypotheses
+        compact_chain(state, truth, order[2:])
+        assert all(densified(c) for c in compact)
+
+
+class TestDensifications:
+    """A ``grid`` unit builds a dense posterior only where a decision reads the dense table."""
+
+    @staticmethod
+    def run_unit(seed):
+        states, fallbacks = [], []
+        real_observe, real_table = mixture.mixture_observe, mixture._weighted_marginals
+
+        def recording_observe(state, x, y):
+            states.append(real_observe(state, x, y))
+            return states[-1]
+
+        def counting_table(state, use_map):
+            fallbacks.append(state)
+            return real_table(state, use_map)
+
+        with mock.patch.object(mixture, "mixture_observe", recording_observe), \
+                mock.patch.object(mixture, "_weighted_marginals", counting_table):
+            mixture_trajectories(*grid_task(16, 4), 8, 1, with_passive=True, seed=seed)
+        carried = {id(c): c for s in states for c in s.posteriors}
+        return states, fallbacks, [c for c in carried.values() if densified(c)]
+
+    def test_certified_unit_densifies_no_posterior(self):
+        states, fallbacks, built = self.run_unit(0)
+        assert len(states) == 16 and not fallbacks
+        assert all(isinstance(c, mixture._PosteriorAtV) for s in states for c in s.posteriors)
+        assert built == []
+
+    def test_each_fallback_densifies_its_own_posteriors(self):
+        _, fallbacks, built = self.run_unit(60)
+        assert len(fallbacks) == 2
+        assert {id(c) for c in built} == {id(c) for s in fallbacks for c in s.posteriors}
+        assert len(built) == 8
