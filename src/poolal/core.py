@@ -468,8 +468,10 @@ class ModelEnsemble:
 
     def label_prob(self, x: str, y: str) -> float:
         """Ensemble-averaged probability that ``x`` carries label ``y``."""
-        xi = self.instance.example_index[x]
-        yi = self.instance.label_index[y]
+        try:
+            xi, yi = self.instance.example_index[x], self.instance.label_index[y]
+        except KeyError as exc:
+            raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
         return float(self.weights @ self.probs[:, xi, yi])
 
     def reweighted(self, weights: np.ndarray) -> "ModelEnsemble":

@@ -7,12 +7,12 @@ the components' predictive probabilities for the observed label and each
 posterior does its own Bayes update.  Components may be deterministic (a
 prior over labelings) or probabilistic (a weighted ensemble of
 per-example predictors).  A state also carries its version space V and
-Σ w·q at V, and ``mixture_observe`` keeps each live prior's posterior as
-its values at V (``_PosteriorAtV``), so an observation reads and writes
-|V| entries per component; the dense vector is built only where
-something reads ``probs``.  Picks and predicted labels are certified
-from one product of Σ w·q, summed over V once V is small, plus a
-rounding-error bound that holds for any summation order
+Σ w·q at V.  Every prior posterior ``mixture_observe`` writes lives at the
+V it is zero outside (``_PosteriorAtV``), the state's V if live, its own if
+dead, and is read through the label's column there; a dense vector is
+built only where something reads ``probs``.  Picks and predicted labels
+are certified from one product of Σ w·q, summed over V once V is small,
+plus a rounding-error bound that holds for any summation order
 (``MixtureState._bounds``, decided by ``utilities._certified_argmax``);
 only what it cannot separate, exact ties included, reads the dense
 per-component table.
@@ -162,10 +162,10 @@ def _component_marginals(comp: Component, inst: Instance) -> np.ndarray:
 
 
 class _PosteriorAtV(Prior):
-    """A live prior component's posterior as its ``values`` at the version space ``V`` of the state
-    ``mixture_observe`` made it for, zero elsewhere.  The dense ``probs``, read-only, is built on
-    first read (a dense-table fallback, ``mixture_marginal``, ``flattened_prior``, user code) and
-    kept; ``len`` builds nothing."""
+    """A prior's posterior as its ``values`` at the version space ``V`` it is zero outside: every
+    prior posterior ``mixture_observe`` writes, at the new state's V if live, else at its own.  The
+    dense ``probs``, read-only, is built on first read (a dense-table fallback, ``flattened_prior``,
+    user code) and kept; ``len`` builds nothing."""
 
     def __init__(self, V: np.ndarray, values: np.ndarray, n: int):
         values.setflags(write=False)
@@ -184,56 +184,52 @@ class _PosteriorAtV(Prior):
 
 
 class _Column(NamedTuple):
-    """The observed label's column as a live prior reads it at the state's version space ``V``:
+    """The observed label's column as a prior zero outside the version space ``V`` reads it:
     ``size`` hypotheses carry the label; the new V, V's members among them, sits at ``keep`` in V
-    and at ``pos`` in the column (``pos`` is None when V holds every hypothesis)."""
+    and at ``pos`` in the column (``pos`` is None, and ``V`` may be, when V is every hypothesis)."""
 
-    V: np.ndarray
+    V: np.ndarray | None
     size: int
     keep: np.ndarray
     new_V: np.ndarray
     pos: np.ndarray | None
 
+    @classmethod
+    def at(cls, V: np.ndarray | None, mask: np.ndarray, idx: np.ndarray) -> "_Column":
+        """The column of the hypotheses ``mask`` flags, ``idx`` its indices, read at ``V``."""
+        if V is None or V.size == mask.size:  # V of all: the new V is the column itself
+            return cls(V, idx.size, idx, idx, None)
+        keep = np.flatnonzero(mask[V])
+        new_V = V.take(keep)
+        return cls(V, idx.size, keep, new_V, np.searchsorted(idx, new_V))
+
     def inside(self, comp: Prior) -> np.ndarray:
-        """``comp``'s entries at the new V, outside which its column is zero.  Only a state built
-        by hand has dense live priors, and its V holds every hypothesis."""
+        """``comp``'s entries at the new V, outside which its column is zero.  A prior not carried
+        at V is dense or in a state built by hand, and there V holds every hypothesis."""
         carried = isinstance(comp, _PosteriorAtV) and comp.V is self.V
         return (comp.values if carried else comp.probs).take(self.keep)
 
 
-def _component_likelihood(comp: Component, xi: int, yi: int, mask: np.ndarray | _Column) -> float:
-    """One component's probability that example ``xi`` carries label ``yi``.
-
-    ``mask`` flags (or lists) the hypotheses labeling ``xi`` with ``yi``; a
-    prior sums its mass there, an ensemble averages its members' predictions.
-    A live prior given the ``_Column`` sums a zero-filled buffer of the
-    column's length with its entries at V scattered in: the bytes of
-    ``probs[mask]``, so the sum keeps their bits.
-    """
-    if isinstance(mask, _Column):
-        column = mask.inside(comp)
-        if mask.pos is not None:
-            column, inside = np.zeros(mask.size), column
-            column[mask.pos] = inside
-        return float(column.sum())
-    if isinstance(comp, Prior):
-        return float(comp.probs[mask].sum())
-    return float(comp.weights @ comp.probs[:, xi, yi])
+def _component_likelihood(comp: Component, xi: int, yi: int, col: _Column) -> float:
+    """One component's probability that example ``xi`` carries label ``yi`` (its column ``col``):
+    an ensemble averages its members' predictions; a prior sums a zero-filled buffer of the column's
+    length with its entries at the new V scattered in, the bytes of ``probs[column]``."""
+    if not isinstance(comp, Prior):
+        return float(comp.weights @ comp.probs[:, xi, yi])
+    column = col.inside(comp)
+    if col.pos is not None:
+        column, inside = np.zeros(col.size), column
+        column[col.pos] = inside
+    return float(column.sum())
 
 
-def _component_update(
-    comp: Component, like: float, mask: np.ndarray | _Column, xi: int, yi: int
-) -> Component:
+def _component_update(comp: Component, like: float, col: _Column, xi: int, yi: int) -> Component:
     """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0; a
-    prior keeps its entries at ``mask`` (flags or indices covering its support there) / like, a
-    live prior given the ``_Column`` its entries at the new V, carried there."""
-    if isinstance(mask, _Column):  # the doubles of the dense update below, at the new V only
-        inside = mask.inside(comp)
-        return _PosteriorAtV(mask.new_V, np.divide(inside, like, out=inside), len(comp))
-    if isinstance(comp, Prior):  # the doubles of core.posterior: 0 / like is 0 too
-        probs, inside = np.zeros(comp.probs.size), comp.probs[mask]
-        probs[mask] = np.divide(inside, like, out=inside)
-        return Prior._trusted(probs)
+    prior keeps its entries at ``col``'s new V / like, carried there: the doubles of
+    ``core.posterior`` (0 / like is 0 too) at the new V only."""
+    if isinstance(comp, Prior):
+        inside = col.inside(comp)
+        return _PosteriorAtV(col.new_V, np.divide(inside, like, out=inside), len(comp))
     # members keep their own normalizer: the dot product ``like`` may be an ulp off
     new_w = comp.weights * comp.probs[:, xi, yi]
     total = float(new_w.sum())
@@ -264,17 +260,18 @@ def mixture_marginals(state: MixtureState, use_map: bool = False) -> np.ndarray:
 
 
 def mixture_marginal(state: MixtureState, x: str, y: str) -> float:
-    """Mixture probability that ``x`` carries label ``y``."""
+    """Mixture probability that ``x`` carries label ``y``, read at the carried V if there is one."""
     inst = state.instance
     try:
         xi, yi = inst.example_index[x], inst.label_index[y]
     except KeyError as exc:
         raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
     mask = inst.label_columns[xi] == yi
+    col = _Column.at(state.__dict__.get("_carried", (None,))[0], mask, np.flatnonzero(mask))
     total = 0.0
     for w, comp in state.components:
         if w != 0.0:
-            total += w * _component_likelihood(comp, xi, yi, mask)
+            total += w * _component_likelihood(comp, xi, yi, col)
     return total
 
 
@@ -321,17 +318,12 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     xi, yi = inst.example_index[x], inst.label_index[y]
     idx = np.flatnonzero(mask)
     V, F, r, a = state._carried
-    if V.size == inst.n_hypotheses:  # V of all: the new V is the column itself
-        col = _Column(V, idx.size, idx, idx, None)
-    else:
-        keep = np.flatnonzero(mask[V])
-        new_V = V.take(keep)
-        col = _Column(V, idx.size, keep, new_V, np.searchsorted(idx, new_V))
-    # a live prior reads and writes its entries at V only; a dead one (weight 0) may hold mass
-    # outside V and is updated over the whole column
-    masks = [col if w != 0.0 and isinstance(c, Prior) else idx for w, c in state.components]
+    col = _Column.at(V, mask, idx)
+    # live priors at the state's V; a dead one (weight 0) at its own, a dead dense one at all (None)
+    cols = [col if w != 0.0 or not isinstance(c, Prior) else
+            _Column.at(getattr(c, "V", None), mask, idx) for w, c in state.components]
     likelihoods = np.array([
-        _component_likelihood(c, xi, yi, m) for c, m in zip(state.posteriors, masks)
+        _component_likelihood(c, xi, yi, m) for c, m in zip(state.posteriors, cols)
     ])
     new_weights = state.weights * likelihoods
     total = float(new_weights.sum())
@@ -341,7 +333,7 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
         )
     new_posteriors = tuple(
         _component_update(c, like, m, xi, yi) if like > 0.0 else c
-        for c, like, m in zip(state.posteriors, likelihoods.tolist(), masks)
+        for c, like, m in zip(state.posteriors, likelihoods.tolist(), cols)
     )
     new = MixtureState(
         inst,

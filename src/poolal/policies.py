@@ -120,19 +120,18 @@ def select_from_marginals(criterion: str, marginals: np.ndarray, candidates: Seq
 
     Supports the marginal-computable criteria; ``gbs`` uses the
     most-even-split rule on binary labels and falls back to least
-    confidence on the version-space marginals otherwise.  First
-    candidate wins ties (candidates must be in ascending pool order).
+    confidence on the version-space marginals otherwise.  The lowest
+    pool index wins ties, and a NaN score never wins.
     """
     if len(candidates) == 0:
         raise ValueError("no examples available to select from")
-    scores = _row_scores(criterion, np.asarray(marginals)[None])[0].tolist()
-    best_xi, best = None, -math.inf
-    for xi in candidates:
-        if scores[xi] > best:
-            best, best_xi = scores[xi], xi
-    if best_xi is None:
+    cand = np.sort(np.asarray(candidates))
+    scores = _row_scores(criterion, np.asarray(marginals)[None])[0][cand]
+    scores = np.where(scores > -math.inf, scores, -math.inf)  # NaN never wins
+    best = int(scores.argmax())  # the lowest index wins ties, as in ``_picks``
+    if scores[best] == -math.inf:
         raise ValueError(f"criterion {criterion!r} scored no candidate: marginals are not finite")
-    return best_xi
+    return int(cand[best])
 
 
 def _worst_gen_gibbs_gains(

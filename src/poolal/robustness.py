@@ -415,6 +415,8 @@ def sweep_reports(
     """
     if n_instances < 1:  # an empty sweep would pass vacuously
         raise ValueError(f"n_instances must be a positive integer, got {n_instances}")
+    if budget < 1:  # before a trial's pool size would bound it
+        raise ValueError(f"budget must be a positive integer, got {budget}")
     for radius in radii:  # before a radius becomes a seed; NaN fails too
         if not 0.0 <= radius <= 2.0:
             raise ValueError(f"perturbation radius must lie in [0, 2], got {radius}")

@@ -232,6 +232,16 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: perturbation radius must lie in [0, 2], got ")
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_rejected_whatever_the_seed(self, capsys, budget):
+        errs = []
+        for seed in ("0", "1"):  # their first trials draw pools of 4 and 3 examples
+            code, out, err = run_cli(capsys, "verify", "--trials=1", f"--seed={seed}",
+                                     f"--budget={budget}")
+            assert (code, out) == (2, "")
+            errs.append(err)
+        assert errs == [f"error: budget must be a positive integer, got {budget}\n"] * 2
+
     @pytest.mark.parametrize("radii", ["", "0.1,,0.2", "abc", "0.1;0.2"])
     def test_unparsable_radii_name_the_option(self, capsys, tmp_path, radii):
         code, out, err = run_cli(capsys, "verify", "--trials", "1", f"--radii={radii}")
@@ -677,33 +687,57 @@ def test_config_value_resolves_like_its_flag(monkeypatch, tmp_path, command, fla
     assert from_config != _resolved(monkeypatch, [command])
 
 
-# Out-of-domain values of each typed option of mixture-demo: 0, -1 and one past its range.
-# --seeds has no upper end; --pool 64 is past the grid task's cap (and past 2**63 labelings);
-# --components 10**8 leaves the priors no room under the cap even at --pool 4.
-MIXTURE_OUT_OF_DOMAIN = {
-    "--seeds": ("0", "-1"),
-    "--budget": ("0", "-1", "5"),
-    "--pool": ("0", "-1", "1", "64"),
-    "--components": ("0", "-1", str(10**8)),
+# Out-of-domain values of every typed option, each passed as --opt=value after small options
+# that reach its check: (command, small options, {flag: values}).  --mu is only read by the
+# pruning utility and, in the counterexample, in worst mode; 5 is past the budget cap of run and
+# optimal on 4 examples; 2**64 labelings are past gen-instance's int64 codes.  mixture-demo's
+# --seeds has no upper end; its --pool 64 is past the grid task's cap (and past 2**63
+# labelings); --components 10**8 leaves the priors no room under the cap even at --pool 4.
+_SMALL_POOL = ("--synthetic=4,8,2", "--budget=1", "--utility=pruning")
+_COUNTEREXAMPLE_OUT_OF_DOMAIN = {
+    "--delta": ("0", "-1", "0.25", "nan"), "--mu": ("-1", "nan", "0.5"),
+    "--C": ("nan", "inf"), "--alpha": ("nan", "-inf"),
 }
+OUT_OF_DOMAIN = [
+    ("run", _SMALL_POOL, {"--seed": ("-1",), "--mu": ("-1", "nan"), "--budget": ("0", "-1", "5")}),
+    ("optimal", _SMALL_POOL,
+     {"--seed": ("-1",), "--mu": ("-1", "nan"), "--budget": ("0", "-1", "5")}),
+    ("verify", ("--trials=1", "--radii=0.1"),
+     {"--trials": ("0", "-1"), "--seed": ("-1",), "--budget": ("0", "-1")}),
+    ("verify", ("--counterexample", "--mode=worst"), _COUNTEREXAMPLE_OUT_OF_DOMAIN),
+    ("counterexample", ("--mode=worst",), _COUNTEREXAMPLE_OUT_OF_DOMAIN),
+    ("gen-instance", (), {"--examples": ("0", "-1", "64"), "--hypotheses": ("0", "-1", "17"),
+                          "--labels": ("0", "-1", "1"), "--seed": ("-1",)}),
+    ("mixture-demo", ("--seeds=1", "--budget=1", "--pool=4", "--components=2"),
+     {"--seeds": ("0", "-1"), "--budget": ("0", "-1", "5"), "--pool": ("0", "-1", "1", "64"),
+      "--components": ("0", "-1", str(10**8)), "--seed": ("-1",)}),
+]
 
 
 def test_mixture_walk_covers_every_typed_option():
-    options = cli._COMMANDS["mixture-demo"][2]
-    assert sorted(MIXTURE_OUT_OF_DOMAIN) == sorted(
-        flag for flag, keywords in options.items() if keywords.get("type") is int
-    )
+    walked = {(command, flag) for command, _, table in OUT_OF_DOMAIN for flag in table}
+    assert walked == {(command, flag) for command, (_, _, options) in cli._COMMANDS.items()
+                      for flag, keywords in options.items() if "type" in keywords}
 
 
-@pytest.mark.parametrize(
-    "flag, value", [(f, v) for f, values in MIXTURE_OUT_OF_DOMAIN.items() for v in values]
-)
-def test_mixture_demo_out_of_domain_exits_2(capsys, flag, value):
-    small = {"--seeds": "1", "--budget": "1", "--pool": "4", "--components": "2", flag: value}
-    code, out, err = run_cli(capsys, "mixture-demo", *(x for kv in small.items() for x in kv))
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+@pytest.mark.parametrize("command, small, option", [
+    pytest.param(command, small, f"{flag}={value}",  # mixture-demo's cases keep their first ids
+                 id=f"{flag}-{value}" if command == "mixture-demo" else f"{command}{flag}-{value}")
+    for command, small, table in OUT_OF_DOMAIN for flag, values in table.items() for value in values
+])
+def test_mixture_demo_out_of_domain_exits_2(capsys, command, small, option):
+    try:
+        code, usage = main([command, *small, option]), False
+    except SystemExit as exc:  # a value its type rejects: argparse prints usage, then the error
+        code, usage = exc.code, True
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert (code, out) == (2, "")
+    if usage:
+        assert [line for line in lines if "error: " in line] == lines[-1:]
+        assert lines[-1].startswith(f"poolal {command}: error: ")
+    else:
+        assert len(lines) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 
 

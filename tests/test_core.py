@@ -232,6 +232,12 @@ class TestInducePrior:
             for yi, y in enumerate(inst.labels):
                 assert marg[xi, yi] == pytest.approx(ens.label_prob(x, y), abs=1e-12)
 
+    @pytest.mark.parametrize("x, y, bad", [("nope", "0", "nope"), ("x0", "7", "7")])
+    def test_label_prob_names_an_unknown_name(self, square, x, y, bad):
+        ens = pl.ModelEnsemble(square, [1.0], np.full((1, 2, 2), 0.5))
+        with pytest.raises(ValueError, match=f"^unknown example or label '{bad}'$"):
+            ens.label_prob(x, y)
+
     def test_ensemble_validation(self, square):
         with pytest.raises(ValueError, match="sum to 1"):
             pl.ModelEnsemble(square, [1.0], np.full((1, 2, 2), 0.4))

@@ -659,7 +659,7 @@ class TestCompactPosteriors:
 
     def test_dead_component_revived_by_a_later_label(self):
         # the second prior dies at x0 = '1' while carried at V, holding mass outside the next V;
-        # x1 = '0' revives it, densified and updated over the whole column at weight 0
+        # x1 = '0' revives it, read and updated at weight 0 at its own V, still compact
         inst = pl.full_hypothesis_space(("x0", "x1", "x2", "x3"), ("0", "1", "2"))
         rng = np.random.default_rng(5)
         x0_is_1 = inst.label_columns[0] == 1
@@ -674,7 +674,7 @@ class TestCompactPosteriors:
         assert not densified(carried)
         state = observe_compact(state, "x1", "0")
         revived = state.posteriors[1]
-        assert densified(carried) and type(revived) is pl.Prior
+        assert not densified(carried) and isinstance(revived, mixture._PosteriorAtV)
         assert revived.probs[~x0_is_1 & (inst.label_columns[1] == 0)].sum() > 0.0
         observe_compact(state, "x2", "1")
 
@@ -686,7 +686,7 @@ class TestCompactPosteriors:
         assert state.weights[2] == 0.0 and isinstance(underflowed, mixture._PosteriorAtV)
         truth = inst.hypothesis(int(np.flatnonzero(inst.label_columns[0] == 1)[77]))
         compact_chain(state, truth, range(1, inst.n_examples))
-        assert densified(underflowed)  # dead, so read whole at the next observation
+        assert not densified(underflowed)  # dead, so read at its own V at the next observation
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hand_built_states_mixing_compact_and_dense(self, seed):
@@ -705,6 +705,82 @@ class TestCompactPosteriors:
         assert state._carried[0].size == inst.n_hypotheses
         compact_chain(state, truth, order[2:])
         assert all(densified(c) for c in compact)
+
+
+def marginal_like_dense(state, x, y):
+    """``mixture_marginal(state, x, y)``, checked byte for byte against each live component's
+    dense vector summed over the label's whole column."""
+    inst = state.instance
+    xi, yi = inst.example_index[x], inst.label_index[y]
+    idx = np.flatnonzero(inst.label_columns[xi] == yi)
+    want = 0.0
+    for w, c in state.components:
+        if w != 0.0:
+            want += w * (float(dense_of(c).take(idx).sum()) if isinstance(c, pl.Prior)
+                         else float(c.weights @ c.probs[:, xi, yi]))
+    got = mixture_marginal(state, x, y)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestNothingDensified:
+    """On states ``mixture_observe`` made, dead components included, neither an observation nor
+    ``mixture_marginal`` builds a dense posterior: each prior posterior is a new
+    ``_PosteriorAtV`` or, for a component that gave the label no mass, the one it held."""
+
+    @staticmethod
+    def check_chain(start, truth, order):
+        states = compact_chain(start, truth, order)
+        inst = start.instance
+        for before, after in zip(states, states[1:]):
+            for old, new in zip(before.posteriors, after.posteriors):
+                assert (new is old or isinstance(new, mixture._PosteriorAtV)
+                        or not isinstance(new, pl.Prior))
+            for x in inst.examples:
+                for y in inst.labels:
+                    marginal_like_dense(after, x, y)
+        carried = {id(c): c for s in states for c in s.posteriors
+                   if isinstance(c, mixture._PosteriorAtV)}
+        assert not any(densified(c) for c in carried.values())
+        return states
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("weights", [None, (0.5, 0.0, 0.5, 0.0)])
+    def test_grid_chains(self, seed, weights):
+        inst, components = grid_task(12, 4)
+        rng = np.random.default_rng([seed, 43])
+        truth = sample_truth(inst, components, rng)
+        states = self.check_chain(initial_state(inst, components, weights), truth,
+                                  rng.permutation(inst.n_examples))
+        assert len(states) == inst.n_examples + 1
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_chains_with_dead_components(self, seed, n_labels, n_priors, ensemble):
+        rng = np.random.default_rng(seed)
+        n_examples = int(rng.integers(2, 6))
+        inst = pl.random_instance(
+            n_examples, min(int(rng.integers(1, 200)), n_labels**n_examples), n_labels, rng=rng
+        )
+        truth = inst.hypothesis(int(rng.integers(inst.n_hypotheses)))
+        order = rng.permutation(n_examples)
+        # one prior dies at the first query and one at the second; a third starts dead
+        components = [sparse_prior(inst, rng) for _ in range(n_priors)]
+        for xi in order[:2].tolist():
+            components.append(dying_prior(inst, rng, xi, inst.label_index[truth.label_of(
+                inst.examples[xi])]))
+        if ensemble:
+            components.insert(int(rng.integers(len(components) + 1)), random_ensemble(inst, rng))
+        weights = rng.dirichlet(np.ones(len(components)))
+        weights[int(rng.integers(len(components)))] = 0.0
+        self.check_chain(initial_state(inst, components, weights / weights.sum()), truth, order)
+
+    def test_marginal_of_an_unobserved_state_caches_nothing(self):
+        inst, components = grid_task(12, 4)
+        state = initial_state(inst, components, (0.5, 0.0, 0.5, 0.0))
+        for x in inst.examples[:3]:
+            for y in inst.labels:
+                marginal_like_dense(state, x, y)
+        assert state.__dict__.keys().isdisjoint({"_carried", "_bounds", "_marginals"})
 
 
 class TestDensifications:

@@ -94,6 +94,11 @@ class TestSelect:
         with pytest.raises(ValueError, match="scored no candidate"):
             select_from_marginals("max_gibbs", marginals, [0, 1])
 
+    @pytest.mark.parametrize("candidates", [[0, 7], [7], [5, 3]])
+    def test_candidate_past_the_pool_rejected(self, candidates):
+        with pytest.raises(IndexError):
+            select_from_marginals("max_gibbs", np.full((3, 2), 0.5), candidates)
+
     def test_unknown_criterion(self, square):
         with pytest.raises(ValueError, match="criterion"):
             select("bogus", pl.uniform_prior(square), square, square.examples)

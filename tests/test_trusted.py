@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import poolal as pl
 from poolal import policies
 from poolal.core import NORM_TOL
-from poolal.mixture import _component_update, grid_task, initial_state, mixture_observe
+from poolal.mixture import grid_task, initial_state, mixture_observe
 from poolal.policies import _grow_rounds, build_batch_policy, build_policy
 from poolal.utilities import hamming_loss, zero_one_loss
 
@@ -104,7 +104,6 @@ def check_every_branch(inst, p):
             assert np.array_equal(branch, expected.probs)
             for derived in (
                 pl.posterior(p, inst, [(x, y)]).probs,
-                _component_update(p, mass, mask, xi, yi).probs,
                 mixture_observe(comp_state, x, y).posteriors[0].probs,
             ):
                 assert_trusted(derived)
