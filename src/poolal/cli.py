@@ -328,8 +328,16 @@ _COMMANDS = {  # name: (help, handler, options)
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises where argparse would print usage and exit 2, so ``main`` reports every rejection;
+    its subparsers are built with this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poolal",
         description="Pool-based Bayesian active learning: greedy policies, "
         "exact oracles, and prior-robustness checks.",
@@ -378,8 +386,8 @@ def _config_flags(command: str, path: str) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _PARSER.parse_args(argv)
     try:  # the one exit for bad input, unreadable files and unwritable output
+        args = _PARSER.parse_args(argv)
         if args.config:
             # config flags go right after the command, so the user's own flags come last and win
             at = argv.index(args.command) + 1

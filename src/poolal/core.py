@@ -78,6 +78,17 @@ class Hypothesis:
             raise ValueError(f"unknown example {example!r}") from None
 
 
+class _Index(dict):
+    """Name -> position; looking up a name that is not there raises ``ValueError``."""
+
+    def __init__(self, names: tuple[str, ...], kind: str):
+        super().__init__(zip(names, range(len(names))))
+        self.kind = kind
+
+    def __missing__(self, name):
+        raise ValueError(f"unknown {self.kind} {name!r}")
+
+
 class Instance:
     """A pool, its label set, and an explicit hypothesis list.
 
@@ -87,7 +98,10 @@ class Instance:
     demand.  Hypotheses keep their declaration order; every probability
     vector in this package is index-parallel to ``ids``.  Zero-probability
     hypotheses stay in the list: worst-case objectives and the
-    pruning-count utility are sensitive to them.
+    pruning-count utility are sensitive to them.  ``example_index`` and
+    ``label_index`` map names to positions, and looking up a name that is
+    not there raises ``ValueError("unknown example 'x'")`` (or ``label``):
+    every function that takes names rejects an unknown one that way.
     """
 
     def __init__(
@@ -132,8 +146,8 @@ class Instance:
             raise ValueError("duplicate label identifiers")
         if n_hypotheses < 1:
             raise ValueError("an instance needs at least one hypothesis")
-        self.example_index = {x: i for i, x in enumerate(self.examples)}
-        self.label_index = {y: j for j, y in enumerate(self.labels)}
+        self.example_index = _Index(self.examples, "example")
+        self.label_index = _Index(self.labels, "label")
 
     def _set_labelings(self, ids: tuple[str, ...], labelings: Sequence[Sequence[str]]) -> None:
         """Store ``labelings[i]``, label names in pool order, as int16 row ``i``."""
@@ -347,15 +361,7 @@ def _check_prior(p: Prior, inst: Instance) -> None:
 def _consistent_mask(inst: Instance, pairs: Iterable[Pair]) -> np.ndarray:
     mask = np.ones(inst.n_hypotheses, dtype=bool)
     for x, y in pairs:
-        try:
-            xi = inst.example_index[x]
-        except KeyError:
-            raise ValueError(f"unknown example {x!r}") from None
-        try:
-            yi = inst.label_index[y]
-        except KeyError:
-            raise ValueError(f"unknown label {y!r}") from None
-        mask &= inst.label_columns[xi] == yi
+        mask &= inst.label_columns[inst.example_index[x]] == inst.label_index[y]
     return mask
 
 
@@ -468,10 +474,7 @@ class ModelEnsemble:
 
     def label_prob(self, x: str, y: str) -> float:
         """Ensemble-averaged probability that ``x`` carries label ``y``."""
-        try:
-            xi, yi = self.instance.example_index[x], self.instance.label_index[y]
-        except KeyError as exc:
-            raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
+        xi, yi = self.instance.example_index[x], self.instance.label_index[y]
         return float(self.weights @ self.probs[:, xi, yi])
 
     def reweighted(self, weights: np.ndarray) -> "ModelEnsemble":

@@ -34,7 +34,6 @@ from .core import (
     ModelEnsemble,
     NORM_TOL,
     Prior,
-    _consistent_mask,
     full_hypothesis_space,
     induce_prior,
     label_marginals,
@@ -262,10 +261,7 @@ def mixture_marginals(state: MixtureState, use_map: bool = False) -> np.ndarray:
 def mixture_marginal(state: MixtureState, x: str, y: str) -> float:
     """Mixture probability that ``x`` carries label ``y``, read at the carried V if there is one."""
     inst = state.instance
-    try:
-        xi, yi = inst.example_index[x], inst.label_index[y]
-    except KeyError as exc:
-        raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
+    xi, yi = inst.example_index[x], inst.label_index[y]
     mask = inst.label_columns[xi] == yi
     col = _Column.at(state.__dict__.get("_carried", (None,))[0], mask, np.flatnonzero(mask))
     total = 0.0
@@ -297,11 +293,7 @@ def map_approx_marginal(state: MixtureState, i: int, x: str, y: str) -> float:
     if not 0 <= i < state.n_components:
         raise ValueError(f"component index {i} out of range")
     inst = state.instance
-    try:
-        xi, yi = inst.example_index[x], inst.label_index[y]
-    except KeyError as exc:
-        raise ValueError(f"unknown example or label {exc.args[0]!r}") from None
-    return float(_map_component_marginals(state, i)[xi, yi])
+    return float(_map_component_marginals(state, i)[inst.example_index[x], inst.label_index[y]])
 
 
 def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
@@ -312,10 +304,10 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     zero keep their old posterior at weight zero.
     """
     inst = state.instance
-    mask = _consistent_mask(inst, [(x, y)])  # rejects an unknown example or label
+    xi, yi = inst.example_index[x], inst.label_index[y]
     if x in state.transcript.examples:
         raise ValueError(f"example {x!r} was already queried")
-    xi, yi = inst.example_index[x], inst.label_index[y]
+    mask = inst.label_columns[xi] == yi
     idx = np.flatnonzero(mask)
     V, F, r, a = state._carried
     col = _Column.at(V, mask, idx)
@@ -374,8 +366,6 @@ def mixture_predict(state: MixtureState, x: str, use_map: bool = False) -> str:
     """Label with the highest mixture marginal at ``x`` (lowest index on ties): certified
     from ``MixtureState._bounds`` where it can be, else read from the dense table."""
     inst = state.instance
-    if x not in inst.example_index:
-        raise ValueError(f"unknown example {x!r}")
     return inst.labels[int(_argmax_labels(state, [inst.example_index[x]], use_map)[0])]
 
 

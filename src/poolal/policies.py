@@ -253,10 +253,7 @@ def _compact_picks(criterion: str, inst: Instance, node, hyp, val, avail: np.nda
 
 def _candidates(inst: Instance, available: Iterable[str]) -> list[int]:
     """Ascending pool indices of ``available``; unknown names raise ValueError."""
-    try:
-        return sorted(inst.example_index[x] for x in set(available))
-    except KeyError as exc:
-        raise ValueError(f"unknown example {exc.args[0]!r}") from None
+    return sorted(inst.example_index[x] for x in set(available))
 
 
 def _checked_loss(criterion: str, inst: Instance, loss: LossMatrix | None) -> LossMatrix | None:
@@ -534,11 +531,9 @@ def run_policy(tree: PolicyTree, h: Hypothesis) -> tuple[tuple[str, ...], tuple[
         if x not in labeling:
             raise ValueError(f"hypothesis {h.id!r} does not label example {x!r}")
         y = labeling[x]
-        if y not in inst.label_index:
-            raise ValueError(f"unknown label {y!r}")
+        k = child[k, inst.label_index[y]]
         queried.append(x)
         labels.append(y)
-        k = child[k, inst.label_index[y]]
     return tuple(queried), tuple(labels), len(queried)
 
 
@@ -559,12 +554,13 @@ def greedy_transcript(
     if not 0 <= budget <= inst.n_examples:
         raise ValueError(f"budget must lie in [0, {inst.n_examples}], got {budget}")
     loss = _checked_loss(criterion, inst, loss)  # once per run, not once per step
-    q, pairs, labeling = p, [], truth.labeling
+    labels = Hypothesis.from_mapping(truth.id, truth.labeling, inst.examples).labels  # in pool order
+    q, pairs = p, []
     avail = np.ones((1, inst.n_examples), dtype=bool)
     for _ in range(budget):
         xi = int(_picks(criterion, inst, q.probs[None], avail, loss)[0])
         avail[0, xi] = False
-        pairs.append((inst.examples[xi], labeling[inst.examples[xi]]))
+        pairs.append((inst.examples[xi], labels[xi]))
         q = posterior(q, inst, pairs[-1:])
     return Transcript(tuple(pairs), q)
 

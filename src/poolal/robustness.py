@@ -323,10 +323,9 @@ def counterexample_instance(
     """
     if mode not in ("avg", "worst"):
         raise ValueError(f"mode must be 'avg' or 'worst', got {mode!r}")
+    PruningCount(mu)  # rejects a negative, NaN or infinite mu in either mode
     if mode == "avg":
         mu = 0.0
-    if not mu >= 0:  # NaN too
-        raise ValueError("threshold must be nonnegative")
     if not (math.isfinite(C) and math.isfinite(alpha)):
         raise ValueError(f"C and alpha must be finite, got C={C}, alpha={alpha}")
     if not 0.0 < delta < 0.25 - mu / 2.0:

@@ -174,6 +174,8 @@ class PruningCount:
     def __post_init__(self):
         if not self.mu >= 0:  # NaN too
             raise ValueError("threshold must be nonnegative")
+        if self.mu == math.inf:  # no hypothesis could pass it
+            raise ValueError("threshold must be nonnegative and finite")
 
 
 Utility = Union[VersionSpaceReduction, GeneralizedReduction, PruningCount]

@@ -1,4 +1,4 @@
-"""Mutants of the bounds and of the mixture update that the listed tests must kill.
+"""Mutants of the bounds, the mixture update and the name lookup that the listed tests must kill.
 
 Each row of ``MUTANTS`` names a file, a text that occurs in it exactly once, the text that
 replaces it, and the test files that must fail once it is applied.  The runner copies ``src``
@@ -50,6 +50,9 @@ MUTANTS = [  # (file, old text, new text, test files that must kill it)
     ("src/poolal/mixture.py", "mask, idx) for w, c in state.components]",
      "mask, idx)._replace(pos=None) for w, c in state.components]",
      ("tests/test_mixture.py",)),
+    # an unknown example or label name reads as position -1, a silent wrong index
+    ("src/poolal/core.py", 'raise ValueError(f"unknown {self.kind} {name!r}")', "return -1",
+     ("tests/test_core.py",)),
 ]
 
 

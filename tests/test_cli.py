@@ -548,10 +548,8 @@ def test_verify_without_trials_is_a_usage_error(capsys, trials):
     "command", [name for name, (_, _, options) in cli._COMMANDS.items() if "--seed" in options]
 )
 def test_negative_seed_is_an_error_naming_the_option(capsys, tmp_path, command):
-    with pytest.raises(SystemExit) as stop:
-        main([command, "--seed", "-1"])
-    assert stop.value.code == 2
-    assert "argument --seed: invalid nonnegative int value: '-1'" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, command, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: argument --seed: invalid nonnegative int value: '-1'\n")
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("seed=-1\n")
     code, out, err = run_cli(capsys, command, "--config", str(cfg))
@@ -689,23 +687,27 @@ def test_config_value_resolves_like_its_flag(monkeypatch, tmp_path, command, fla
 
 # Out-of-domain values of every typed option, each passed as --opt=value after small options
 # that reach its check: (command, small options, {flag: values}).  --mu is only read by the
-# pruning utility and, in the counterexample, in worst mode; 5 is past the budget cap of run and
+# pruning utility and by the counterexample, which checks it in avg mode too, where it then
+# uses 0 (ids of the avg rows say so); 5 is past the budget cap of run and
 # optimal on 4 examples; 2**64 labelings are past gen-instance's int64 codes.  mixture-demo's
 # --seeds has no upper end; its --pool 64 is past the grid task's cap (and past 2**63
 # labelings); --components 10**8 leaves the priors no room under the cap even at --pool 4.
 _SMALL_POOL = ("--synthetic=4,8,2", "--budget=1", "--utility=pruning")
 _COUNTEREXAMPLE_OUT_OF_DOMAIN = {
-    "--delta": ("0", "-1", "0.25", "nan"), "--mu": ("-1", "nan", "0.5"),
+    "--delta": ("0", "-1", "0.25", "nan"), "--mu": ("-1", "nan", "0.5", "inf"),
     "--C": ("nan", "inf"), "--alpha": ("nan", "-inf"),
 }
 OUT_OF_DOMAIN = [
-    ("run", _SMALL_POOL, {"--seed": ("-1",), "--mu": ("-1", "nan"), "--budget": ("0", "-1", "5")}),
+    ("run", _SMALL_POOL,
+     {"--seed": ("-1",), "--mu": ("-1", "nan", "inf"), "--budget": ("0", "-1", "5")}),
     ("optimal", _SMALL_POOL,
-     {"--seed": ("-1",), "--mu": ("-1", "nan"), "--budget": ("0", "-1", "5")}),
+     {"--seed": ("-1",), "--mu": ("-1", "nan", "inf"), "--budget": ("0", "-1", "5")}),
     ("verify", ("--trials=1", "--radii=0.1"),
      {"--trials": ("0", "-1"), "--seed": ("-1",), "--budget": ("0", "-1")}),
     ("verify", ("--counterexample", "--mode=worst"), _COUNTEREXAMPLE_OUT_OF_DOMAIN),
     ("counterexample", ("--mode=worst",), _COUNTEREXAMPLE_OUT_OF_DOMAIN),
+    ("verify", ("--counterexample", "--mode=avg"), {"--mu": ("-1", "nan", "inf")}),
+    ("counterexample", ("--mode=avg",), {"--mu": ("-1", "nan", "inf")}),
     ("gen-instance", (), {"--examples": ("0", "-1", "64"), "--hypotheses": ("0", "-1", "17"),
                           "--labels": ("0", "-1", "1"), "--seed": ("-1",)}),
     ("mixture-demo", ("--seeds=1", "--budget=1", "--pool=4", "--components=2"),
@@ -722,22 +724,15 @@ def test_mixture_walk_covers_every_typed_option():
 
 @pytest.mark.parametrize("command, small, option", [
     pytest.param(command, small, f"{flag}={value}",  # mixture-demo's cases keep their first ids
-                 id=f"{flag}-{value}" if command == "mixture-demo" else f"{command}{flag}-{value}")
+                 id=f"{flag}-{value}" if command == "mixture-demo"
+                 else f"{command}{'-avg' * ('--mode=avg' in small)}{flag}-{value}")
     for command, small, table in OUT_OF_DOMAIN for flag, values in table.items() for value in values
 ])
 def test_mixture_demo_out_of_domain_exits_2(capsys, command, small, option):
-    try:
-        code, usage = main([command, *small, option]), False
-    except SystemExit as exc:  # a value its type rejects: argparse prints usage, then the error
-        code, usage = exc.code, True
+    code = main([command, *small, option])
     out, err = capsys.readouterr()
-    lines = err.splitlines()
     assert (code, out) == (2, "")
-    if usage:
-        assert [line for line in lines if "error: " in line] == lines[-1:]
-        assert lines[-1].startswith(f"poolal {command}: error: ")
-    else:
-        assert len(lines) == 1 and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 
 

@@ -235,7 +235,8 @@ class TestInducePrior:
     @pytest.mark.parametrize("x, y, bad", [("nope", "0", "nope"), ("x0", "7", "7")])
     def test_label_prob_names_an_unknown_name(self, square, x, y, bad):
         ens = pl.ModelEnsemble(square, [1.0], np.full((1, 2, 2), 0.5))
-        with pytest.raises(ValueError, match=f"^unknown example or label '{bad}'$"):
+        kind = "example" if bad == x else "label"
+        with pytest.raises(ValueError, match=f"^unknown {kind} '{bad}'$"):
             ens.label_prob(x, y)
 
     def test_ensemble_validation(self, square):
@@ -382,6 +383,54 @@ class TestInstanceFile:
 def test_labeled_set_rejects_repeats():
     with pytest.raises(ValueError, match="repeats"):
         pl.LabeledSet((("x0", "0"), ("x0", "1")))
+
+
+def name_takers(inst):
+    """Every public entry point that takes an example or label name, as call(x, y)."""
+    p = pl.uniform_prior(inst)
+    state = pl.initial_state(inst, [p])
+    h = inst.hypotheses[0]
+    tree = pl.PolicyTree(inst, pl.PolicyNode(inst.examples[0], (None,) * inst.n_labels))
+    ens = pl.ModelEnsemble(inst, [1.0], np.full((1, inst.n_examples, inst.n_labels), 0.5))
+    return {
+        "posterior": lambda x, y: pl.posterior(p, inst, [(x, y)]),
+        "label_seq_prob": lambda x, y: pl.label_seq_prob(p, inst, [x], [y]),
+        "eval_utility": lambda x, y: pl.eval_utility(pl.VersionSpaceReduction(), p, inst, [x], h),
+        "select": lambda x, y: pl.select("max_gibbs", p, inst, [x]),
+        "select_batch_max_gibbs": lambda x, y: pl.select_batch_max_gibbs(p, inst, [x], 1),
+        "run_policy": lambda x, y: pl.run_policy(tree, pl.Hypothesis("t", inst.examples,
+                                                                     (y,) * inst.n_examples)),
+        "mixture_observe": lambda x, y: pl.mixture_observe(state, x, y),
+        "mixture_marginal": lambda x, y: pl.mixture_marginal(state, x, y),
+        "map_approx_marginal": lambda x, y: pl.map_approx_marginal(state, 0, x, y),
+        "mixture_predict": lambda x, y: pl.mixture_predict(state, x),
+        "ModelEnsemble.label_prob": lambda x, y: ens.label_prob(x, y),
+        "example_index": lambda x, y: inst.example_index[x],
+        "label_index": lambda x, y: inst.label_index[y],
+    }
+
+
+BOTH = ("example", "label")
+NAME_KINDS = {  # each of name_takers: the kinds of name it reads, and so can reject
+    "posterior": BOTH, "label_seq_prob": BOTH, "eval_utility": ("example",),
+    "select": ("example",), "select_batch_max_gibbs": ("example",), "run_policy": ("label",),
+    "mixture_observe": BOTH, "mixture_marginal": BOTH, "map_approx_marginal": BOTH,
+    "mixture_predict": ("example",), "ModelEnsemble.label_prob": BOTH,
+    "example_index": ("example",), "label_index": ("label",),
+}
+
+
+@pytest.mark.parametrize("entry, kind", [(e, k) for e, kinds in NAME_KINDS.items() for k in kinds])
+def test_every_name_taker_rejects_an_unknown_name(square, entry, kind):
+    x, y = ("zz", "0") if kind == "example" else ("x0", "zz")
+    with pytest.raises(ValueError, match=f"^unknown {kind} 'zz'$"):  # never KeyError
+        name_takers(square)[entry](x, y)
+
+
+def test_name_maps_answer_membership_without_raising(square):
+    assert "zz" not in square.example_index and square.label_index.get("zz") is None
+    assert dict(square.example_index) == {"x0": 0, "x1": 1}
+    assert dict(square.label_index) == {"0": 0, "1": 1}
 
 
 @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=10))

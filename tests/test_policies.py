@@ -271,6 +271,13 @@ class TestGreedyTranscript:
             t.final_posterior.probs, pl.posterior(p, square, t.pairs).probs
         )
 
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_truth_missing_a_label_is_named_before_the_first_pick(self, budget):
+        inst = pl.random_instance(3, 5, 2, rng=0)
+        truth = pl.Hypothesis("t", ("x0", "x1"), ("0", "1"))
+        with pytest.raises(ValueError, match=r"^hypothesis 't' misses labels for \['x2'\]$"):
+            greedy_transcript("max_gibbs", pl.uniform_prior(inst), inst, budget, truth)
+
 
 def test_policy_text_golden(square):
     tree = build_policy("max_gibbs", pl.uniform_prior(square), square, 2)
