@@ -10,8 +10,12 @@ per-example predictors).  A state also carries its version space V and
 Σ w·q at V.  Every prior posterior ``mixture_observe`` writes lives at the
 V it is zero outside (``_PosteriorAtV``), the state's V if live, its own if
 dead, and is read through the label's column there; a dense vector is
-built only where something reads ``probs``.  Picks and predicted labels
-are certified from one product of Σ w·q, summed over V once V is small,
+built only where something reads ``probs``.  An observation gathers each
+live prior's entries at the new V once, for its likelihood and its update,
+and sums every live likelihood in one zero-filled buffer of the column's
+length; it finds the new V in the column by flagging it over H once it
+holds at least H/8 hypotheses, else by binary search.  Picks and predicted
+labels are certified from one product of Σ w·q, summed over V once V is small,
 plus a rounding-error bound that holds for any summation order
 (``MixtureState._bounds``, decided by ``utilities._certified_argmax``);
 only what it cannot separate, exact ties included, reads the dense
@@ -195,11 +199,18 @@ class _Column(NamedTuple):
 
     @classmethod
     def at(cls, V: np.ndarray | None, mask: np.ndarray, idx: np.ndarray) -> "_Column":
-        """The column of the hypotheses ``mask`` flags, ``idx`` its indices, read at ``V``."""
+        """The column of the hypotheses ``mask`` flags, ``idx`` its indices, read at ``V``.  The
+        new V's positions: at least H/8 hypotheses are flagged over H and the flags read at
+        ``idx`` in one pass; fewer are binary-searched in ``idx``, cheaper there (the H/8 rule
+        of ``_flat_marginals``)."""
         if V is None or V.size == mask.size:  # V of all: the new V is the column itself
             return cls(V, idx.size, idx, idx, None)
         keep = np.flatnonzero(mask[V])
         new_V = V.take(keep)
+        if 8 * new_V.size >= mask.size:
+            flag = np.zeros(mask.size, dtype=bool)
+            flag[new_V] = True
+            return cls(V, idx.size, keep, new_V, np.flatnonzero(flag.take(idx)))
         return cls(V, idx.size, keep, new_V, np.searchsorted(idx, new_V))
 
     def inside(self, comp: Prior) -> np.ndarray:
@@ -209,25 +220,31 @@ class _Column(NamedTuple):
         return (comp.values if carried else comp.probs).take(self.keep)
 
 
-def _component_likelihood(comp: Component, xi: int, yi: int, col: _Column) -> float:
+def _component_likelihood(comp: Component, xi: int, yi: int, col: _Column,
+                          inside: np.ndarray | None = None,
+                          column: np.ndarray | None = None) -> float:
     """One component's probability that example ``xi`` carries label ``yi`` (its column ``col``):
-    an ensemble averages its members' predictions; a prior sums a zero-filled buffer of the column's
-    length with its entries at the new V scattered in, the bytes of ``probs[column]``."""
+    an ensemble averages its members' predictions; a prior sums a zero-filled buffer of the
+    column's length with its entries at the new V, ``inside`` (gathered if None), scattered in at
+    ``pos``, the bytes of ``probs[column]``.  ``column`` is that buffer (a fresh one if None):
+    priors read through one column scatter at the same ``pos``, so one buffer serves them all."""
     if not isinstance(comp, Prior):
         return float(comp.weights @ comp.probs[:, xi, yi])
-    column = col.inside(comp)
-    if col.pos is not None:
-        column, inside = np.zeros(col.size), column
-        column[col.pos] = inside
+    inside = col.inside(comp) if inside is None else inside
+    if col.pos is None:
+        return float(inside.sum())
+    column = np.zeros(col.size) if column is None else column
+    column[col.pos] = inside
     return float(column.sum())
 
 
-def _component_update(comp: Component, like: float, col: _Column, xi: int, yi: int) -> Component:
+def _component_update(comp: Component, like: float, col: _Column, xi: int, yi: int,
+                      inside: np.ndarray | None = None) -> Component:
     """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0; a
-    prior keeps its entries at ``col``'s new V / like, carried there: the doubles of
-    ``core.posterior`` (0 / like is 0 too) at the new V only."""
+    prior keeps its entries at ``col``'s new V, ``inside`` (gathered if None, divided in place),
+    / like, carried there: ``core.posterior``'s doubles (0 / like is 0 too) at the new V only."""
     if isinstance(comp, Prior):
-        inside = col.inside(comp)
+        inside = col.inside(comp) if inside is None else inside
         return _PosteriorAtV(col.new_V, np.divide(inside, like, out=inside), len(comp))
     # members keep their own normalizer: the dot product ``like`` may be an ulp off
     new_w = comp.weights * comp.probs[:, xi, yi]
@@ -314,9 +331,15 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     # live priors at the state's V; a dead one (weight 0) at its own, a dead dense one at all (None)
     cols = [col if w != 0.0 or not isinstance(c, Prior) else
             _Column.at(getattr(c, "V", None), mask, idx) for w, c in state.components]
+    # each live prior's entries at the new V, gathered once for its likelihood and its update
+    insides = [col.inside(c) if m is col and isinstance(c, Prior) else None
+               for c, m in zip(state.posteriors, cols)]
+    column = np.zeros(col.size) if col.pos is not None else None  # refilled by each live prior
     likelihoods = np.array([
-        _component_likelihood(c, xi, yi, m) for c, m in zip(state.posteriors, cols)
+        _component_likelihood(c, xi, yi, m, inside, column if m is col else None)
+        for c, m, inside in zip(state.posteriors, cols, insides)
     ])
+    del column  # dropped before the dead priors' updates and the new Σ w·q allocate
     new_weights = state.weights * likelihoods
     total = float(new_weights.sum())
     if total <= 0.0:
@@ -324,8 +347,8 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
             f"label {y!r} for example {x!r} has zero probability under the mixture"
         )
     new_posteriors = tuple(
-        _component_update(c, like, m, xi, yi) if like > 0.0 else c
-        for c, like, m in zip(state.posteriors, likelihoods.tolist(), cols)
+        _component_update(c, like, m, xi, yi, inside) if like > 0.0 else c
+        for c, like, m, inside in zip(state.posteriors, likelihoods.tolist(), cols, insides)
     )
     new = MixtureState(
         inst,
@@ -439,8 +462,10 @@ def _flat_marginals(inst: Instance, V: np.ndarray, F: np.ndarray) -> tuple[np.nd
         for yi in range(n_y - 1):
             m[:, yi] = F @ (rows == yi)
     else:
-        flat = np.zeros(inst.n_hypotheses)
-        flat[V] = F
+        flat = F  # V of all holds every hypothesis in order
+        if V.size < inst.n_hypotheses:
+            flat = np.zeros(inst.n_hypotheses)
+            flat[V] = F
         for yi in range(n_y - 1):
             m[:, yi] = inst.label_onehot[yi::n_y] @ flat
     s = float(F.sum())

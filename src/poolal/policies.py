@@ -522,7 +522,8 @@ def build_batch_policy(
 
 
 def run_policy(tree: PolicyTree, h: Hypothesis) -> tuple[tuple[str, ...], tuple[str, ...], int]:
-    """Follow ``h``'s labels down the tree: (queried, labels, cost)."""
+    """Follow ``h``'s labels down the tree: (queried, labels, cost).  A node reached whose
+    example is outside the pool raises ``ValueError``, as the evaluators do."""
     inst, labeling = tree.instance, h.labeling
     example, child, names, k = tree._table
     queried, labels = [], []
@@ -530,6 +531,8 @@ def run_policy(tree: PolicyTree, h: Hypothesis) -> tuple[tuple[str, ...], tuple[
         x = names[example[k]]
         if x not in labeling:
             raise ValueError(f"hypothesis {h.id!r} does not label example {x!r}")
+        if example[k] >= inst.n_examples:  # names past the pool's examples are unknown
+            raise ValueError(f"unknown example {x!r}")
         y = labeling[x]
         k = child[k, inst.label_index[y]]
         queried.append(x)

@@ -50,6 +50,10 @@ MUTANTS = [  # (file, old text, new text, test files that must kill it)
     ("src/poolal/mixture.py", "mask, idx) for w, c in state.components]",
      "mask, idx)._replace(pos=None) for w, c in state.components]",
      ("tests/test_mixture.py",)),
+    # the column buffer the live priors share left unfilled: each likelihood also sums whatever
+    # the memory held outside the positions they scatter to
+    ("src/poolal/mixture.py", "np.zeros(col.size) if col.pos is not None",
+     "np.empty(col.size) if col.pos is not None", ("tests/test_mixture.py",)),
     # an unknown example or label name reads as position -1, a silent wrong index
     ("src/poolal/core.py", 'raise ValueError(f"unknown {self.kind} {name!r}")', "return -1",
      ("tests/test_core.py",)),

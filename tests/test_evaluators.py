@@ -247,6 +247,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="unknown label '9'"):
             run_policy(tree, pl.Hypothesis("hz", ("x0", "x1"), ("9", "0")))
 
+    def test_run_policy_rejects_an_example_outside_the_pool(self, square):
+        # the hypothesis labels 'zz' too, so only the pool can say the node is unknown
+        tree = PolicyTree(square, PolicyNode("zz", (None, None)))
+        h = pl.Hypothesis("t", ("zz", "x0", "x1"), ("0", "0", "0"))
+        with pytest.raises(ValueError, match="^unknown example 'zz'$"):
+            run_policy(tree, h)
+        with pytest.raises(ValueError, match="^unknown example 'zz'$"):
+            f_avg(pl.uniform_prior(square), VersionSpaceReduction(), tree)
+
     def test_deep_chain_prints_without_recursion(self, square):
         node = None
         for _ in range(3000):

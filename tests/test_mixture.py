@@ -497,6 +497,39 @@ class TestObserveBytes:
         assert np.any(revived[~x0_is_0] == 0.0) and np.any(revived[x0_is_0] > 0.0)
         observe_like_dense(state, "x2", "1")
 
+    @pytest.mark.parametrize("n_examples, n_labels, sizes", [
+        (6, 2, (16, 8, 4, 2, 1)),  # H = 64: V' above H/8, at it, then below
+        (5, 3, (27, 9, 3, 1)),  # H = 243: V' = 27 just below H/8
+    ])
+    def test_full_spaces_around_an_eighth_with_a_dead_prior_between(self, n_examples, n_labels,
+                                                                     sizes):
+        # past the first query, V''s positions in the column are flagged over H once it holds H/8
+        # hypotheses and binary-searched below that; the middle prior dies at the second query and
+        # is revived at the third, read at its own V between two live priors that share a buffer
+        inst = pl.full_hypothesis_space(tuple(f"x{i}" for i in range(n_examples)),
+                                        tuple(str(y) for y in range(n_labels)))
+        rng = np.random.default_rng([n_examples, n_labels, 47])
+        truth = inst.hypothesis(int(rng.integers(inst.n_hypotheses)))
+        order = rng.permutation(n_examples).tolist()
+        dying = dying_prior(inst, rng, order[1], inst.label_index[truth.label_of(
+            inst.examples[order[1]])])
+        state = initial_state(inst, [sparse_prior(inst, rng, alpha=1.0, zeros=0.0), dying,
+                                     pl.uniform_prior(inst)])
+        seen = []
+        for step, xi in enumerate(order):
+            x = inst.examples[xi]
+            mask = inst.label_columns[xi] == inst.label_index[truth.label_of(x)]
+            idx = np.flatnonzero(mask)
+            col = mixture._Column.at(state._carried[0], mask, idx)
+            if col.pos is not None:
+                assert col.pos.tobytes() == np.searchsorted(idx, col.new_V).tobytes()
+                seen.append(col.new_V.size)
+            before = state.posteriors[1]
+            state = observe_like_dense(state, x, truth.label_of(x))
+            assert (state.weights[1] == 0.0) == (step >= 1)
+            assert (state.posteriors[1] is before) == (step == 1)  # revived from the third on
+        assert tuple(seen) == sizes
+
     def test_weights_underflowing_to_zero(self):
         inst, (a, b, c, d) = grid_task(8, 4)
         # c and d give x0 = '1' about 0.02, so their subnormal weights round to 0
