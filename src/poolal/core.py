@@ -202,6 +202,8 @@ class Instance:
 
     def hypothesis(self, i: int) -> Hypothesis:
         """Labeling ``i`` as a :class:`Hypothesis`."""
+        if not 0 <= i < self.n_hypotheses:
+            raise ValueError(f"hypothesis index {i} is outside [0, {self.n_hypotheses})")
         labels = tuple(self.labels[y] for y in self.label_matrix[i].tolist())
         return Hypothesis(self.ids[i], self.examples, labels)
 
@@ -310,6 +312,8 @@ def uniform_prior(inst: Instance) -> Prior:
 
 
 def point_mass(inst: Instance, index: int) -> Prior:
+    if not 0 <= index < inst.n_hypotheses:
+        raise ValueError(f"hypothesis index {index} is outside [0, {inst.n_hypotheses})")
     probs = np.zeros(inst.n_hypotheses)
     probs[index] = 1.0
     return Prior(probs)

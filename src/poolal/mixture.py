@@ -7,19 +7,18 @@ the components' predictive probabilities for the observed label and each
 posterior does its own Bayes update.  Components may be deterministic (a
 prior over labelings) or probabilistic (a weighted ensemble of
 per-example predictors).  A state also carries its version space V and
-Σ w·q at V.  Every prior posterior ``mixture_observe`` writes lives at the
-V it is zero outside (``_PosteriorAtV``), the state's V if live, its own if
-dead, and is read through the label's column there; a dense vector is
-built only where something reads ``probs``.  An observation gathers each
-live prior's entries at the new V once, for its likelihood and its update,
-and sums every live likelihood in one zero-filled buffer of the column's
-length; it finds the new V in the column by flagging it over H once it
-holds at least H/8 hypotheses, else by binary search.  Picks and predicted
-labels are certified from one product of Σ w·q, summed over V once V is small,
-plus a rounding-error bound that holds for any summation order
-(``MixtureState._bounds``, decided by ``utilities._certified_argmax``);
-only what it cannot separate, exact ties included, reads the dense
-per-component table.
+Σ w·q at V.  A prior is read at the V it is zero outside: a posterior
+``mixture_observe`` wrote (``_PosteriorAtV``) at its own, which for a live
+one is the V of the state it made, a dense prior at every hypothesis.  An
+observation reads each prior through one label column per distinct V,
+whose zero-filled buffer sums the likelihood with the dense column's bits,
+and hands the same entries to the update, which carries them at that V's
+new V; a dense vector is built only where something reads ``probs``.
+Picks and predicted labels are certified from one product of Σ w·q,
+summed over V once V is small, plus a rounding-error bound that holds for
+any summation order (``MixtureState._bounds``, decided by
+``utilities._certified_argmax``); only what it cannot separate, exact ties
+included, reads the dense per-component table.
 """
 
 from __future__ import annotations
@@ -166,8 +165,8 @@ def _component_marginals(comp: Component, inst: Instance) -> np.ndarray:
 
 class _PosteriorAtV(Prior):
     """A prior's posterior as its ``values`` at the version space ``V`` it is zero outside: every
-    prior posterior ``mixture_observe`` writes, at the new state's V if live, else at its own.  The
-    dense ``probs``, read-only, is built on first read (a dense-table fallback, ``flattened_prior``,
+    prior posterior ``mixture_observe`` writes, at the new V of the V it was read at.  The dense
+    ``probs``, read-only, is built on first read (a dense-table fallback, ``flattened_prior``,
     user code) and kept; ``len`` builds nothing."""
 
     def __init__(self, V: np.ndarray, values: np.ndarray, n: int):
@@ -187,15 +186,17 @@ class _PosteriorAtV(Prior):
 
 
 class _Column(NamedTuple):
-    """The observed label's column as a prior zero outside the version space ``V`` reads it:
-    ``size`` hypotheses carry the label; the new V, V's members among them, sits at ``keep`` in V
-    and at ``pos`` in the column (``pos`` is None, and ``V`` may be, when V is every hypothesis)."""
+    """The observed label's column as a prior zero outside the version space ``V`` reads it: the
+    new V, V's members among the hypotheses carrying the label, sits at ``keep`` in V and at
+    ``pos`` in the column; ``buffer``, zero-filled and of the column's length, takes each read's
+    entries at ``pos`` to be summed (``pos`` and ``buffer`` are None, and ``V`` may be, when V is
+    every hypothesis)."""
 
     V: np.ndarray | None
-    size: int
     keep: np.ndarray
     new_V: np.ndarray
     pos: np.ndarray | None
+    buffer: np.ndarray | None
 
     @classmethod
     def at(cls, V: np.ndarray | None, mask: np.ndarray, idx: np.ndarray) -> "_Column":
@@ -204,47 +205,49 @@ class _Column(NamedTuple):
         ``idx`` in one pass; fewer are binary-searched in ``idx``, cheaper there (the H/8 rule
         of ``_flat_marginals``)."""
         if V is None or V.size == mask.size:  # V of all: the new V is the column itself
-            return cls(V, idx.size, idx, idx, None)
+            return cls(V, idx, idx, None, None)
         keep = np.flatnonzero(mask[V])
         new_V = V.take(keep)
         if 8 * new_V.size >= mask.size:
             flag = np.zeros(mask.size, dtype=bool)
             flag[new_V] = True
-            return cls(V, idx.size, keep, new_V, np.flatnonzero(flag.take(idx)))
-        return cls(V, idx.size, keep, new_V, np.searchsorted(idx, new_V))
-
-    def inside(self, comp: Prior) -> np.ndarray:
-        """``comp``'s entries at the new V, outside which its column is zero.  A prior not carried
-        at V is dense or in a state built by hand, and there V holds every hypothesis."""
-        carried = isinstance(comp, _PosteriorAtV) and comp.V is self.V
-        return (comp.values if carried else comp.probs).take(self.keep)
+            pos = np.flatnonzero(flag.take(idx))
+        else:
+            pos = np.searchsorted(idx, new_V)
+        return cls(V, keep, new_V, pos, np.zeros(idx.size))
 
 
-def _component_likelihood(comp: Component, xi: int, yi: int, col: _Column,
-                          inside: np.ndarray | None = None,
-                          column: np.ndarray | None = None) -> float:
-    """One component's probability that example ``xi`` carries label ``yi`` (its column ``col``):
-    an ensemble averages its members' predictions; a prior sums a zero-filled buffer of the
-    column's length with its entries at the new V, ``inside`` (gathered if None), scattered in at
-    ``pos``, the bytes of ``probs[column]``.  ``column`` is that buffer (a fresh one if None):
-    priors read through one column scatter at the same ``pos``, so one buffer serves them all."""
+def _read(comp: Component, mask: np.ndarray, idx: np.ndarray, columns: dict) -> tuple:
+    """(column, entries at its new V) of a prior read at the V it is zero outside, its carried V
+    or, dense, every hypothesis (None), through ``columns``' one ``_Column`` per distinct V, keyed
+    by identity, of the column ``mask`` flags (``idx`` its indices); (None, None) for an ensemble."""
+    if not isinstance(comp, Prior):
+        return None, None
+    V = comp.V if isinstance(comp, _PosteriorAtV) else None
+    if id(V) not in columns:
+        columns[id(V)] = _Column.at(V, mask, idx)
+    col = columns[id(V)]
+    return col, (comp.probs if V is None else comp.values).take(col.keep)
+
+
+def _component_likelihood(comp: Component, xi: int, yi: int, col, inside) -> float:
+    """One component's probability that example ``xi`` carries label ``yi``, from its ``_read``
+    (``col``, ``inside``): an ensemble averages its members' predictions; a prior sums its
+    entries at the new V, ``inside``, scattered into the column's buffer at ``pos``, the bytes of
+    ``probs[column].sum()``."""
     if not isinstance(comp, Prior):
         return float(comp.weights @ comp.probs[:, xi, yi])
-    inside = col.inside(comp) if inside is None else inside
     if col.pos is None:
         return float(inside.sum())
-    column = np.zeros(col.size) if column is None else column
-    column[col.pos] = inside
-    return float(column.sum())
+    col.buffer[col.pos] = inside
+    return float(col.buffer.sum())
 
 
-def _component_update(comp: Component, like: float, col: _Column, xi: int, yi: int,
-                      inside: np.ndarray | None = None) -> Component:
-    """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0; a
-    prior keeps its entries at ``col``'s new V, ``inside`` (gathered if None, divided in place),
-    / like, carried there: ``core.posterior``'s doubles (0 / like is 0 too) at the new V only."""
+def _component_update(comp: Component, like: float, xi: int, yi: int, col, inside) -> Component:
+    """Bayes update of a component that gave label ``yi`` at ``xi`` probability ``like`` > 0, from
+    its ``_read``: a prior keeps ``inside``, divided in place by like, at ``col``'s new V:
+    ``core.posterior``'s doubles (0 / like is 0 too) at the new V only."""
     if isinstance(comp, Prior):
-        inside = col.inside(comp) if inside is None else inside
         return _PosteriorAtV(col.new_V, np.divide(inside, like, out=inside), len(comp))
     # members keep their own normalizer: the dot product ``like`` may be an ulp off
     new_w = comp.weights * comp.probs[:, xi, yi]
@@ -276,15 +279,15 @@ def mixture_marginals(state: MixtureState, use_map: bool = False) -> np.ndarray:
 
 
 def mixture_marginal(state: MixtureState, x: str, y: str) -> float:
-    """Mixture probability that ``x`` carries label ``y``, read at the carried V if there is one."""
+    """Mixture probability that ``x`` carries label ``y``: each live component read as
+    ``mixture_observe`` reads it."""
     inst = state.instance
     xi, yi = inst.example_index[x], inst.label_index[y]
     mask = inst.label_columns[xi] == yi
-    col = _Column.at(state.__dict__.get("_carried", (None,))[0], mask, np.flatnonzero(mask))
-    total = 0.0
+    idx, columns, total = np.flatnonzero(mask), {}, 0.0
     for w, comp in state.components:
         if w != 0.0:
-            total += w * _component_likelihood(comp, xi, yi, col)
+            total += w * _component_likelihood(comp, xi, yi, *_read(comp, mask, idx, columns))
     return total
 
 
@@ -328,18 +331,11 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
     idx = np.flatnonzero(mask)
     V, F, r, a = state._carried
     col = _Column.at(V, mask, idx)
-    # live priors at the state's V; a dead one (weight 0) at its own, a dead dense one at all (None)
-    cols = [col if w != 0.0 or not isinstance(c, Prior) else
-            _Column.at(getattr(c, "V", None), mask, idx) for w, c in state.components]
-    # each live prior's entries at the new V, gathered once for its likelihood and its update
-    insides = [col.inside(c) if m is col and isinstance(c, Prior) else None
-               for c, m in zip(state.posteriors, cols)]
-    column = np.zeros(col.size) if col.pos is not None else None  # refilled by each live prior
+    columns = {id(V): col}  # the live priors' column: they are carried at the state's V
+    reads = [_read(c, mask, idx, columns) for c in state.posteriors]
     likelihoods = np.array([
-        _component_likelihood(c, xi, yi, m, inside, column if m is col else None)
-        for c, m, inside in zip(state.posteriors, cols, insides)
+        _component_likelihood(c, xi, yi, *read) for c, read in zip(state.posteriors, reads)
     ])
-    del column  # dropped before the dead priors' updates and the new Σ w·q allocate
     new_weights = state.weights * likelihoods
     total = float(new_weights.sum())
     if total <= 0.0:
@@ -347,8 +343,8 @@ def mixture_observe(state: MixtureState, x: str, y: str) -> MixtureState:
             f"label {y!r} for example {x!r} has zero probability under the mixture"
         )
     new_posteriors = tuple(
-        _component_update(c, like, m, xi, yi, inside) if like > 0.0 else c
-        for c, like, m, inside in zip(state.posteriors, likelihoods.tolist(), cols, insides)
+        _component_update(c, like, xi, yi, *read) if like > 0.0 else c
+        for c, like, read in zip(state.posteriors, likelihoods.tolist(), reads)
     )
     new = MixtureState(
         inst,

@@ -18,6 +18,7 @@ ever enters a cache key.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -207,8 +208,6 @@ def _search_rounds(
     so ``batch_size == 1`` is the fully adaptive search.  A branch's
     value is the sum (or, with ``worst_case``, the min) of its children.
     """
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[float, PolicyNode | None]] = {}
-    explored = 0
     utility = _set_utility_fn(u, p, inst)
     cols = inst.label_columns.tolist()
 
@@ -235,25 +234,20 @@ def _search_rounds(
             agg = min(agg, val) if worst_case else agg + val
         return agg, PolicyNode(inst.examples[xi], tuple(children))
 
+    @functools.cache  # its misses count the explored states: no key is re-entered mid-search
     def search(V: tuple[int, ...], avail: tuple[int, ...]) -> tuple[float, PolicyNode | None]:
-        key = (V, avail)
-        if key in memo:
-            return memo[key]
-        nonlocal explored
-        explored += 1
         if (inst.n_examples - len(avail)) // batch_size == n_rounds:
-            memo[key] = (leaf_value(V), None)
-            return memo[key]
+            return leaf_value(V), None
         best_val, best_node = -math.inf, None
         for batch in itertools.combinations(avail, batch_size):
             val, node = expand(V, batch, tuple(i for i in avail if i not in batch), 0)
             if val > best_val:
                 best_val, best_node = val, node
-        memo[key] = (best_val, best_node)
-        return memo[key]
+        return best_val, best_node
 
     value, root = search(tuple(range(inst.n_hypotheses)), tuple(range(inst.n_examples)))
-    del search, expand  # each refers to itself: cycles that would keep memo alive until collected
+    explored = search.cache_info().misses
+    del search, expand  # each refers to itself: cycles that keep the cache alive until collected
     return OptResult(value, PolicyTree(inst, root), explored)
 
 
@@ -298,19 +292,13 @@ def opt_min_cost(
     _check_prior(p, inst)
     _check_caps(inst, example_cap, hypothesis_cap)
 
-    memo: dict[tuple[int, ...], tuple[float, PolicyNode | None]] = {}
-    explored = 0
     cols = inst.label_columns.tolist()
 
+    @functools.cache  # its misses count the explored states: each child is a strict subset
     def search(V: tuple[int, ...]) -> tuple[float, PolicyNode | None]:
         # returns the support-mass-weighted remaining cost (unnormalized)
-        if V in memo:
-            return memo[V]
-        nonlocal explored
-        explored += 1
         if len(V) <= 1:
-            memo[V] = (0.0, None)
-            return memo[V]
+            return 0.0, None
         mass = float(p.probs[list(V)].sum())
         best_val, best_node = math.inf, None
         for xi, col in enumerate(cols):
@@ -331,11 +319,11 @@ def opt_min_cost(
                 best_node = PolicyNode(inst.examples[xi], tuple(children))
         if best_node is None:
             raise _no_separator(inst, V)
-        memo[V] = (best_val, best_node)
-        return memo[V]
+        return best_val, best_node
 
     value, root = search(tuple(p.support.tolist()))
-    del search  # it refers to itself: a cycle that would keep memo alive until collected
+    explored = search.cache_info().misses
+    del search  # it refers to itself: a cycle that keeps the cache alive until collected
     return OptResult(value, PolicyTree(inst, root), explored)
 
 

@@ -86,6 +86,12 @@ def gbs_alpha(p: Prior) -> float:
     return math.log(1.0 / support_min) + 1.0
 
 
+def _check_constant(name: str, value: float | None) -> None:
+    """Reject a bound's constant that is NaN, infinite or negative; None stands for its default."""
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def _require_lipschitz(u: Utility) -> tuple[float, float]:
     L, M = lipschitz_constant(u)
     if L is None:
@@ -147,6 +153,7 @@ def check_avg_bound(
     alpha * opt - (alpha + 1)(L + M) * l1(p0, p1).  ``opt`` may be
     passed in to reuse an oracle result across perturbation radii.
     """
+    _check_constant("alpha", alpha)
     L, M = _require_lipschitz(u)
     tree, name = _build(algorithm, p1, inst, budget, u)
     lhs = f_avg(p0, u, tree)
@@ -168,6 +175,7 @@ def check_worst_bound(
     opt: OptResult | None = None,
 ) -> BoundReport:
     """Worst-case-utility degradation bound: floor alpha*opt - (alpha+1)*L*l1."""
+    _check_constant("alpha", alpha)
     L, _ = _require_lipschitz(u)
     tree, name = _build(algorithm, p1, inst, budget, u)
     lhs = f_worst(p0, u, tree)
@@ -219,6 +227,8 @@ def check_mincost_bound(
     alpha(p1) * opt + (alpha(p1) + 1) * K * l1(p0, p1), with K the cost
     cap (defaults to the pool size).
     """
+    _check_constant("alpha_of_p1", alpha_of_p1)
+    _check_constant("K", K)
     for p in (p0, p1):
         _check_prior(p, inst)
     uncovered = _uncovered(p0, p1)
@@ -267,6 +277,7 @@ def check_mixture_bounds(
     k = len(components)
     if not 0 <= true_index < k:
         raise ValueError(f"true_index {true_index} out of range for {k} components")
+    _check_constant("alpha_of_p1", alpha_of_p1)
     p0 = components[true_index]
     mix = np.mean([c.probs for c in components], axis=0)
     p1 = Prior(mix)

@@ -45,15 +45,19 @@ MUTANTS = [  # (file, old text, new text, test files that must kill it)
     # the default cost cap K = |X| becomes |X| + 1
     (ROBUSTNESS, "cap = float(inst.n_examples) if", "cap = float(inst.n_examples + 1) if",
      BOUND_TESTS),
-    # a dead posterior's likelihood summed over its entries alone, without the zero-filled
-    # buffer of the column's length that gives it the dense column's bits
-    ("src/poolal/mixture.py", "mask, idx) for w, c in state.components]",
-     "mask, idx)._replace(pos=None) for w, c in state.components]",
+    # a dead prior's likelihood summed over its entries alone, without the zero-filled buffer of
+    # its column's length that gives it the dense column's bits (the state's column, which the
+    # live priors share, is built apart)
+    ("src/poolal/mixture.py", "columns[id(V)] = _Column.at(V, mask, idx)",
+     "columns[id(V)] = _Column.at(V, mask, idx)._replace(pos=None)", ("tests/test_mixture.py",)),
+    # the column buffer left unfilled: each likelihood also sums whatever the memory held outside
+    # the positions its prior scatters to
+    ("src/poolal/mixture.py", "pos, np.zeros(idx.size))", "pos, np.empty(idx.size))",
      ("tests/test_mixture.py",)),
-    # the column buffer the live priors share left unfilled: each likelihood also sums whatever
-    # the memory held outside the positions they scatter to
-    ("src/poolal/mixture.py", "np.zeros(col.size) if col.pos is not None",
-     "np.empty(col.size) if col.pos is not None", ("tests/test_mixture.py",)),
+    # every prior read at the first column built, in an observation the state's: a dead prior's
+    # entries are taken at positions in the state's V, not its own
+    ("src/poolal/mixture.py", "    col = columns[id(V)]\n", "    col = next(iter(columns.values()))\n",
+     ("tests/test_mixture.py",)),
     # an unknown example or label name reads as position -1, a silent wrong index
     ("src/poolal/core.py", 'raise ValueError(f"unknown {self.kind} {name!r}")', "return -1",
      ("tests/test_core.py",)),

@@ -150,6 +150,14 @@ class TestL1:
         assert pl.l1_distance(a, c) <= pl.l1_distance(a, b) + pl.l1_distance(b, c) + 1e-12
 
 
+@pytest.mark.parametrize("index", [-1, -4, -5, 4, 7])
+@pytest.mark.parametrize("take", [pl.Instance.hypothesis, pl.point_mass])
+def test_hypothesis_indices_outside_the_space_are_rejected(square, take, index):
+    # a negative index used to wrap to a hypothesis from the end
+    with pytest.raises(ValueError, match=rf"^hypothesis index {index} is outside \[0, 4\)$"):
+        take(square, index)
+
+
 class TestInducePrior:
     def test_fair_coins_give_uniform(self, square):
         ens = pl.ModelEnsemble(square, [1.0], np.full((1, 2, 2), 0.5))

@@ -606,15 +606,20 @@ def observe_compact(state, x, y):
     weights, want_likes, posteriors = expected
     assert np.array(likes).tobytes() == want_likes.tobytes()
     assert new.weights.tobytes() == weights.tobytes()
-    new_V = new._carried[0]
+    xi, yi = inst.example_index[x], inst.label_index[y]
+    mask = inst.label_columns[xi] == yi
     for w, c, like, got, want in zip(state.weights, state.posteriors, likes, new.posteriors,
                                      posteriors):
         if not isinstance(c, pl.Prior):
             assert got.weights.tobytes() == want.weights.tobytes()
             continue
         assert len(got) == inst.n_hypotheses
-        if w != 0.0 and like > 0.0:  # updated at V: carried at the new V, still compact
-            assert isinstance(got, mixture._PosteriorAtV) and got.V is new_V
+        if w != 0.0 and like > 0.0:  # updated at its own V: carried at that V's new V, compact
+            own = c.V if isinstance(c, mixture._PosteriorAtV) else None
+            read_at = mixture._Column.at(own, mask, np.flatnonzero(mask)).new_V
+            assert isinstance(got, mixture._PosteriorAtV)
+            assert got.V.tobytes() == read_at.tobytes()
+            assert got.V is new._carried[0] or not (own is V or own is None)
             assert not densified(got)
             assert not got.values.flags.writeable
         dense = dense_of(got)
@@ -753,6 +758,65 @@ def marginal_like_dense(state, x, y):
                          else float(c.weights @ c.probs[:, xi, yi]))
     got = mixture_marginal(state, x, y)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestReadAtOwnV:
+    """Each prior is read at the V it is zero outside, through one ``_Column`` per distinct V."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hand_built_state_with_a_carried_a_dense_and_a_dead_prior(self, seed):
+        # a posterior carried off the state's V (which holds every hypothesis), a dense prior and
+        # a dead posterior carried at a third V, each read and updated at its own V
+        rng = np.random.default_rng([seed, 53])
+        inst = pl.full_hypothesis_space(tuple(f"x{i}" for i in range(5)), ("0", "1", "2"))
+        truth = inst.hypothesis(int(rng.integers(inst.n_hypotheses)))
+        order = [inst.examples[xi] for xi in rng.permutation(inst.n_examples)]
+
+        def carried(x):
+            start = initial_state(inst, [sparse_prior(inst, rng, alpha=1.0, zeros=0.0)])
+            return observe_like_dense(start, x, truth.label_of(x)).posteriors[0]
+
+        off, dead = carried(order[0]), carried(order[1])
+        state = MixtureState(inst, np.array([0.6, 0.4, 0.0]),
+                             (off, sparse_prior(inst, rng, alpha=1.0, zeros=0.0), dead), 1,
+                             pl.LabeledSet(((order[0], truth.label_of(order[0])),)))
+        assert off.V is not dead.V and state._carried[0].size == inst.n_hypotheses
+        states = [state]
+        for x in order[1:]:
+            states.append(observe_like_dense(states[-1], x, truth.label_of(x)))
+            assert states[-1].weights[2] == 0.0
+            assert isinstance(states[-1].posteriors[2], mixture._PosteriorAtV)
+        for state in states:
+            for x in inst.examples:
+                for y in inst.labels:
+                    marginal_like_dense(state, x, y)
+
+    @pytest.mark.parametrize("dying, counts", [
+        (False, [2] + [1] * 7),  # dense priors at all, then every prior at the state's V
+        (True, [2, 1] + [2] * 6),  # the prior that dies at x1 is read at its own V from x2 on
+    ])
+    def test_one_column_per_distinct_V(self, dying, counts):
+        inst, components = grid_task(8, 4)
+        rng = np.random.default_rng(59)
+        truth = sample_truth(inst, components, rng)
+        if dying:
+            components += (dying_prior(inst, rng, 1, inst.label_index[truth.label_of("x1")]),)
+        state, real, built = initial_state(inst, components), mixture._Column.at, []
+
+        def at(V, mask, idx):
+            built.append(V)
+            return real(V, mask, idx)
+
+        seen = []
+        with mock.patch.object(mixture._Column, "at", at):
+            for x in inst.examples:
+                own = {id(getattr(c, "V", None)) for c in state.posteriors}
+                built.clear()
+                state = mixture_observe(state, x, truth.label_of(x))
+                assert {id(V) for V in built} == own | {id(built[0])} and len(built) == len(
+                    {id(V) for V in built})
+                seen.append(len(built))
+        assert seen == counts
 
 
 class TestNothingDensified:

@@ -253,6 +253,27 @@ class TestBatchOracle:
         assert batch.value <= adaptive.value + 1e-12
 
 
+@pytest.mark.parametrize("seed, shape, explored", [
+    (0, (4, 10, 2), (60, 33, 46, 35)),
+    (1, (5, 14, 2), (124, 51, 92, 96)),
+    (2, (4, 16, 3), (110, 58, 62, 62)),
+    (3, (6, 12, 2), (210, 73, 95, 202)),
+])
+def test_nodes_explored_is_the_number_of_distinct_states_searched(seed, shape, explored):
+    # opt_avg at budget 3, opt_worst at 2 under the 0-1 loss, opt_min_cost, and opt_avg_batch at
+    # 2 rounds of 2: each counts a search state once, however often the search reaches it
+    rng = np.random.default_rng([seed, 61])
+    inst = pl.random_instance(*shape, rng=rng)
+    p = pl.random_prior(inst, rng)
+    got = (
+        opt_avg(p, VersionSpaceReduction(), inst, 3),
+        opt_worst(p, GeneralizedReduction(zero_one_loss(inst)), inst, 2),
+        opt_min_cost(p, inst),
+        opt_avg_batch(p, VersionSpaceReduction(), inst, 2, 2),
+    )
+    assert tuple(r.nodes_explored for r in got) == explored
+
+
 def test_opt_result_serialization(square):
     r = opt_min_cost(pl.uniform_prior(square), square)
     text = r.to_text()

@@ -180,6 +180,29 @@ class TestMixtureBounds:
             check_mixture_bounds(square, [pl.uniform_prior(square)], 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("name, check", [
+    ("alpha", lambda inst, p, c: check_avg_bound(inst, p, p, VersionSpaceReduction(), "max_gibbs",
+                                                 c, 2)),
+    ("alpha", lambda inst, p, c: check_worst_bound(inst, p, p, VersionSpaceReduction(),
+                                                   "least_confidence", c, 2)),
+    ("alpha_of_p1", lambda inst, p, c: check_mincost_bound(inst, p, p, alpha_of_p1=c)),
+    ("K", lambda inst, p, c: check_mincost_bound(inst, p, p, K=c)),
+    ("alpha_of_p1", lambda inst, p, c: check_mixture_bounds(inst, [p], 0, alpha_of_p1=c)),
+])
+def test_bound_constants_must_be_finite_and_nonnegative(square, monkeypatch, name, check, bad):
+    # a NaN constant would read as a failed bound and a negative one make it vacuous; each is
+    # named before any tree is built or any oracle runs
+    from poolal import robustness
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(robustness, "_build", no_tree)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got {bad}$"):
+        check(square, pl.uniform_prior(square), bad)
+
+
 class TestCounterexample:
     def test_avg_mode_golden_values(self):
         inst, p0, p1, report = counterexample_instance(0.1, mode="avg")
